@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,6 +58,53 @@ func pingPongBench(b *testing.B, opt experiments.PairOptions, payload int) {
 // accelerated 8-byte round trips over the in-memory network.
 func BenchmarkRoundTrip(b *testing.B) {
 	pingPongBench(b, experiments.PairOptions{}, 8)
+}
+
+// BenchmarkRoundTripAllocs is the allocation gate on the stack the paper
+// describes (checksum, fragmentation, sliding window, identification),
+// where the other *Allocs benchmarks run windowless stacks: the round trip
+// of BenchmarkRoundTrip without the completion channel — over the
+// instantaneous network the echo is delivered inside Send — so that all
+// it counts is the engine and the window's saved frames, rings and timer
+// re-arms. It fails on any allocation per round trip; the perf gate holds
+// every *Allocs name at its baseline besides.
+func BenchmarkRoundTripAllocs(b *testing.B) {
+	p, err := experiments.NewPair(experiments.PairOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	p.B.OnDeliver(func(data []byte) {
+		if err := p.B.Send(data); err != nil {
+			b.Error(err)
+		}
+	})
+	echoes := 0
+	p.A.OnDeliver(func([]byte) { echoes++ })
+	buf := make([]byte, 8)
+	for i := 0; i < 64; i++ { // create the timers, warm the pools
+		if err := p.A.Send(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	echoes = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.A.Send(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if echoes != b.N {
+		b.Fatalf("%d of %d round trips completed inside Send", echoes, b.N)
+	}
+	if perOp := (after.Mallocs - before.Mallocs) / uint64(b.N); perOp > 0 {
+		b.Fatalf("default-stack round trip allocates: %d allocs/op, want 0", perOp)
+	}
 }
 
 // BenchmarkRoundTripCompiledFilters is the Exokernel-style ablation

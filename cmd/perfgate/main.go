@@ -18,7 +18,7 @@
 // the same benchmarks on the reference machine and commit the output —
 //
 //	go test -run '^$' \
-//	    -bench '^(BenchmarkRoundTrip|BenchmarkSendOneWay|BenchmarkFastSendAllocs|BenchmarkFastDeliverAllocs|BenchmarkGSOSendBatchAllocs|BenchmarkShardedRecvBurst|BenchmarkRouterDeliverLoaded|BenchmarkAdmissionShedAllocs|BenchmarkConnChurn|BenchmarkGroupFanout|BenchmarkGroupFanoutAllocs|BenchmarkSecureRoundTrip|BenchmarkSecureAllocs)$' \
+//	    -bench '^(BenchmarkRoundTrip|BenchmarkRoundTripAllocs|BenchmarkSendOneWay|BenchmarkFastSendAllocs|BenchmarkFastDeliverAllocs|BenchmarkGSOSendBatchAllocs|BenchmarkShardedRecvBurst|BenchmarkRouterDeliverLoaded|BenchmarkAdmissionShedAllocs|BenchmarkConnChurn|BenchmarkGroupFanout|BenchmarkGroupFanoutAllocs|BenchmarkSecureRoundTrip|BenchmarkSecureAllocs)$' \
 //	    -benchmem -count=6 . > bench_baseline.txt
 //
 // and explain the shift in the commit message. CI compares relative to

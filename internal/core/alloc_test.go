@@ -12,10 +12,9 @@ import (
 	"paccel/internal/vclock"
 )
 
-// leanBuild is the checksum + fragmentation + identification stack: the
-// configuration whose steady state the engine promises is allocation-free
-// (no window layer, so no ack/retransmit timer machinery behind the
-// measurement).
+// leanBuild is the checksum + fragmentation + identification stack: no
+// window layer, so a one-way stream stays on the fast path with no acks
+// flowing back (allocDefaultStack holds the default stack to the budget).
 func leanBuild(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
 	return []stack.Layer{
 		layers.NewChksum(),
@@ -51,8 +50,9 @@ func (t *allocTap) SetHandler(h func(src string, datagram []byte)) {
 
 // TestAllocBudget is the allocation gate for the engine's fast paths:
 // steady-state send (flushed through SendBatch), send with the batch
-// interface hidden (per-datagram flush), and routed delivery must all run
-// at exactly 0 allocs/op — with telemetry disabled and with telemetry
+// interface hidden (per-datagram flush), routed delivery, and an echoed
+// message on the default four-layer stack must all run at exactly 0
+// allocs/op — with telemetry disabled and with telemetry
 // enabled at TelemetrySampleEvery=1, so the instrumentation itself
 // (counter bump, clock reads, histogram record) is proven alloc-free too.
 // CI runs this test on every push; a regression here fails the build
@@ -72,12 +72,35 @@ func TestAllocBudget(t *testing.T) {
 			t.Run("send", func(t *testing.T) { allocSend(t, tc.rec, false) })
 			t.Run("send-unbatched", func(t *testing.T) { allocSend(t, tc.rec, true) })
 			t.Run("deliver", func(t *testing.T) { allocDeliver(t, tc.rec) })
+			t.Run("default-stack", func(t *testing.T) { allocDefaultStack(t, tc.rec) })
 			t.Run("shed", func(t *testing.T) { allocShed(t, tc.rec) })
 			t.Run("fanout", func(t *testing.T) { allocFanout(t, tc.rec) })
 			t.Run("secure-send", func(t *testing.T) { allocSecureSend(t, tc.rec) })
 			t.Run("secure-deliver", func(t *testing.T) { allocSecureDeliver(t, tc.rec) })
 		})
 	}
+}
+
+// allocPair builds endpoints "A" and "B" from cfg, closed with the test,
+// and dials the specAB connection between them.
+func allocPair(t *testing.T, cfg func(addr string) Config) (a, b *Conn) {
+	t.Helper()
+	sa, sb := specAB()
+	for _, side := range []struct {
+		addr string
+		spec PeerSpec
+		conn **Conn
+	}{{"A", sa, &a}, {"B", sb, &b}} {
+		ep, err := NewEndpoint(cfg(side.addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		if *side.conn, err = ep.Dial(side.spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, b
 }
 
 // allocSend asserts the steady-state send over the instantaneous network
@@ -96,25 +119,7 @@ func allocSend(t *testing.T, rec *telemetry.Recorder, hideBatch bool) {
 			Telemetry: rec, TelemetrySampleEvery: 1,
 		}
 	}
-	epA, err := NewEndpoint(cfg("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epA.Close()
-	epB, err := NewEndpoint(cfg("B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epB.Close()
-	sa, sb := specAB()
-	a, err := epA.Dial(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := epB.Dial(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := allocPair(t, cfg)
 	b.OnDeliver(func([]byte) {})
 	payload := make([]byte, 32)
 	for i := 0; i < 256; i++ { // warm pools, prime prediction
@@ -133,6 +138,52 @@ func allocSend(t *testing.T, rec *telemetry.Recorder, hideBatch bool) {
 	}
 	if allocs != 0 {
 		t.Fatalf("send fast path: %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// allocDefaultStack holds the stack the paper describes — checksum,
+// fragmentation, sliding window, identification — to the same budget: one
+// echoed message is a send and a delivery on each side, with all four
+// window post-processing phases behind them (frame saved and released,
+// retransmission timer armed and disarmed, delayed ack armed and
+// cancelled by the piggyback), and the instantaneous network runs the
+// whole exchange inside the one Send.
+func allocDefaultStack(t *testing.T, rec *telemetry.Recorder) {
+	t.Helper()
+	net := netsim.New(vclock.Real{}, netsim.Config{})
+	cfg := func(addr string) Config {
+		return Config{Transport: net.Endpoint(addr), Telemetry: rec, TelemetrySampleEvery: 1}
+	}
+	a, b := allocPair(t, cfg)
+	var echoErr error
+	echoes := 0
+	b.OnDeliver(func(data []byte) {
+		if err := b.Send(data); err != nil {
+			echoErr = err
+		}
+	})
+	a.OnDeliver(func([]byte) { echoes++ })
+	payload := make([]byte, 8)
+	roundTrip := func() {
+		if err := a.Send(payload); err != nil {
+			echoErr = err
+		}
+	}
+	for i := 0; i < 256; i++ { // warm pools, prime prediction, create the timers
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(500, roundTrip)
+	if echoErr != nil {
+		t.Fatal(echoErr)
+	}
+	if want := 256 + 501; echoes != want { // AllocsPerRun adds one warm-up call
+		t.Fatalf("echoes = %d, want %d: the round trip did not complete inside Send", echoes, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("default-stack round trip: %.2f allocs/op, want 0", allocs)
+	}
+	if st := a.Stats(); st.SlowSends > 1 || st.SlowDelivers > 1 {
+		t.Fatalf("default stack left the fast path: %+v", st)
 	}
 }
 
@@ -275,25 +326,7 @@ func allocSecureSend(t *testing.T, rec *telemetry.Recorder) {
 			Telemetry: rec, TelemetrySampleEvery: 1,
 		}
 	}
-	epA, err := NewEndpoint(cfg("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epA.Close()
-	epB, err := NewEndpoint(cfg("B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer epB.Close()
-	sa, sb := specAB()
-	a, err := epA.Dial(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := epB.Dial(sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := allocPair(t, cfg)
 	delivered := 0
 	b.OnDeliver(func([]byte) { delivered++ })
 	payload := make([]byte, 32)

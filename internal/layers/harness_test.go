@@ -47,7 +47,7 @@ func newHarness(t *testing.T, ls ...stack.Layer) *harness {
 	if h.recvF, err = rb.Build(); err != nil {
 		t.Fatal(err)
 	}
-	h.svc = &mockServices{h: h}
+	h.svc = &mockServices{h: h, clock: h.clk}
 	h.base = stack.Context{Order: bits.BigEndian, S: h.svc}
 	for c := header.Class(0); c < header.NumClasses; c++ {
 		h.base.PredictSend[c] = make([]byte, h.schema.Size(c))
@@ -115,6 +115,7 @@ type enqRec struct {
 // mockServices records engine interactions.
 type mockServices struct {
 	h           *harness
+	clock       vclock.Clock // h.clk unless a test hooks the timers
 	sendDisable int
 	recvDisable int
 	controls    []controlRec
@@ -123,9 +124,9 @@ type mockServices struct {
 	deferred    []func()
 }
 
-func (s *mockServices) Clock() vclock.Clock { return s.h.clk }
+func (s *mockServices) Clock() vclock.Clock { return s.clock }
 func (s *mockServices) AfterFunc(d time.Duration, f func()) vclock.Timer {
-	return s.h.clk.AfterFunc(d, f)
+	return s.clock.AfterFunc(d, f)
 }
 func (s *mockServices) DisableSend() { s.sendDisable++ }
 func (s *mockServices) EnableSend()  { s.sendDisable-- }

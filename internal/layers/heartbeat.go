@@ -107,7 +107,11 @@ func (h *Heartbeat) arm() {
 		}
 		d += time.Duration(h.rng.Int63n(int64(h.Jitter)))
 	}
-	h.timer = h.s.AfterFunc(d, h.tick)
+	if h.timer == nil {
+		h.timer = h.s.AfterFunc(d, h.tick)
+	} else {
+		h.timer.Reset(d) // from tick, its own callback: one timer per connection
+	}
 }
 
 func (h *Heartbeat) tick() {

@@ -83,22 +83,34 @@ type Window struct {
 	pSend [header.NumClasses][]byte
 	pRecv [header.NumClasses][]byte
 
-	// Send side.
+	// Send side. Sequence numbers are dense and the frames in flight
+	// are [ackedTo, nextSeq), so saved frames live in a power-of-two ring
+	// indexed by seq&mask (see sendSlot).
 	nextSeq      uint32
-	ackedTo      uint32 // everything before this is acknowledged
-	unacked      map[uint32]*message.Msg
-	sentAt       map[uint32]time.Time // send times for RTT sampling
+	ackedTo      uint32         // everything before this is acknowledged
+	unacked      []*message.Msg // saved frames awaiting acknowledgement
+	sentAt       []time.Time    // parallel send times for RTT sampling (AdaptiveRTO only)
+	outstanding  int            // frames held in unacked
 	sendDisabled bool
-	rtTimer      vclock.Timer
 	rtBackoff    int
 	srtt, rttvar time.Duration // smoothed RTT state (AdaptiveRTO)
 
-	// Receive side.
+	// Receive side. Future frames are kept for (expected, expected+4·Size]
+	// in a ring allocated when the first one is stored.
 	expected    uint32
-	oooBuf      map[uint32]*message.Msg
-	nakedFor    map[uint32]bool
+	oooBuf      []*message.Msg
+	buffered    int  // frames held in oooBuf
+	naked       bool // a nak for the current expected has been sent
 	pendingAcks int
-	ackTimer    vclock.Timer
+
+	// One retransmission timer and one delayed-ack timer per connection,
+	// created on first use and re-armed with Reset from then on. The
+	// per-message paths cancel by clearing the armed flag, never by
+	// Stop: the callback returns at once when its flag is clear, and a
+	// callback that lost the race for the connection lock to the event
+	// that disarmed it finds the same thing. Close stops and drops both.
+	rtTimer, ackTimer vclock.Timer
+	rtArmed, ackArmed bool
 
 	// Counters for tests and reports.
 	Stats WindowStats
@@ -215,11 +227,40 @@ func (w *Window) Init(ic *stack.InitContext) error {
 	if w.ack, err = ic.Schema.AddField(header.Gossip, w.Name(), "ack", 32, header.DontCare); err != nil {
 		return err
 	}
-	w.unacked = make(map[uint32]*message.Msg)
-	w.sentAt = make(map[uint32]time.Time)
-	w.oooBuf = make(map[uint32]*message.Msg)
-	w.nakedFor = make(map[uint32]bool)
+	w.unacked = make([]*message.Msg, ringLen(w.size()))
 	return nil
+}
+
+// ringLen returns the next power of two ≥ n, so that seq&(len-1) stays a
+// dense index across the 32-bit sequence wrap.
+func ringLen(n uint32) int {
+	l := 1
+	for uint32(l) < n {
+		l <<= 1
+	}
+	return l
+}
+
+// sendSlot returns seq's index in the send rings. The engine's backlog
+// honours the closed window, but layer-generated frames from above (a
+// large message's fragments) are sent regardless, so a frame that would
+// land on one still in flight doubles the rings first.
+func (w *Window) sendSlot(seq uint32) int {
+	if n := len(w.unacked); int32(seq-w.ackedTo) >= int32(n) {
+		unacked := make([]*message.Msg, 2*n)
+		var sentAt []time.Time
+		if w.sentAt != nil {
+			sentAt = make([]time.Time, 2*n)
+		}
+		for s := w.ackedTo; s != seq; s++ {
+			unacked[int(s)&(2*n-1)] = w.unacked[int(s)&(n-1)]
+			if sentAt != nil {
+				sentAt[int(s)&(2*n-1)] = w.sentAt[int(s)&(n-1)]
+			}
+		}
+		w.unacked, w.sentAt = unacked, sentAt
+	}
+	return int(seq) & (len(w.unacked) - 1)
 }
 
 // Prime captures the engine surfaces and predicts the first messages in
@@ -258,16 +299,21 @@ func (w *Window) PreSend(ctx *stack.Context, m *message.Msg) stack.Verdict {
 // disables prediction when the window fills, and predicts the next frame.
 func (w *Window) PostSend(ctx *stack.Context, m *message.Msg) {
 	seq := uint32(w.seq.Read(ctx.Env.Hdr[header.ProtoSpec], ctx.Env.Order))
-	w.unacked[seq] = m.Clone()
+	i := w.sendSlot(seq)
+	w.unacked[i] = m.Clone()
+	w.outstanding++
 	if w.AdaptiveRTO {
-		w.sentAt[seq] = w.s.Clock().Now()
+		if w.sentAt == nil {
+			w.sentAt = make([]time.Time, len(w.unacked))
+		}
+		w.sentAt[i] = w.s.Clock().Now()
 	}
 	w.nextSeq = seq + 1
 	w.Stats.Sent++
 	// A data frame carries the current cumulative ack, so pending
 	// standalone acks are covered (piggybacking).
 	w.pendingAcks = 0
-	w.stopAckTimer()
+	w.ackArmed = false
 	if w.inflight() >= w.size() && !w.sendDisabled {
 		w.sendDisabled = true
 		w.s.DisableSend()
@@ -376,17 +422,18 @@ func (w *Window) PostDeliver(ctx *stack.Context, m *message.Msg) {
 // advance moves expected forward by one delivered frame plus any buffered
 // successors, and schedules acks.
 func (w *Window) advance() {
-	delete(w.nakedFor, w.expected)
+	w.naked = false
 	w.expected++
 	w.Stats.Delivered++
 	w.pendingAcks++
-	for {
-		m, ok := w.oooBuf[w.expected]
-		if !ok {
+	for w.buffered > 0 {
+		i := int(w.expected) & (len(w.oooBuf) - 1)
+		m := w.oooBuf[i]
+		if m == nil {
 			break
 		}
-		delete(w.oooBuf, w.expected)
-		delete(w.nakedFor, w.expected)
+		w.oooBuf[i] = nil
+		w.buffered--
 		w.expected++
 		w.Stats.Delivered++
 		w.pendingAcks++
@@ -394,22 +441,44 @@ func (w *Window) advance() {
 	}
 	if w.pendingAcks >= w.ackEvery() {
 		w.sendAck()
-	} else if w.ackTimer == nil {
-		w.ackTimer = w.s.AfterFunc(w.delayedAck(), func() {
-			w.ackTimer = nil
-			if w.pendingAcks > 0 {
-				w.sendAck()
-			}
-		})
+	} else if !w.ackArmed {
+		w.ackArmed = true
+		d := w.delayedAck()
+		if w.ackTimer == nil {
+			w.ackTimer = w.s.AfterFunc(d, w.onAckTimer)
+		} else {
+			w.ackTimer.Reset(d)
+		}
+	}
+}
+
+// onAckTimer sends the acknowledgement that found no reverse traffic to
+// ride on.
+func (w *Window) onAckTimer() {
+	if !w.ackArmed {
+		return
+	}
+	w.ackArmed = false
+	if w.pendingAcks > 0 {
+		w.sendAck()
 	}
 }
 
 func (w *Window) storeFuture(seq uint32, m *message.Msg) {
-	if _, dup := w.oooBuf[seq]; dup || seq-w.expected > 4*w.size() {
-		m.Free() // duplicate future or absurdly far ahead
+	if seq-w.expected > 4*w.size() {
+		m.Free() // absurdly far ahead
 		return
 	}
-	w.oooBuf[seq] = m
+	if w.oooBuf == nil {
+		w.oooBuf = make([]*message.Msg, ringLen(4*w.size()))
+	}
+	i := int(seq) & (len(w.oooBuf) - 1)
+	if w.oooBuf[i] != nil {
+		m.Free() // duplicate future
+		return
+	}
+	w.oooBuf[i] = m
+	w.buffered++
 	w.Stats.FuturesStored++
 	w.maybeNak(seq)
 }
@@ -417,10 +486,10 @@ func (w *Window) storeFuture(seq uint32, m *message.Msg) {
 // maybeNak requests retransmission of the lowest missing frame once per
 // gap observation.
 func (w *Window) maybeNak(got uint32) {
-	if !w.Naks || w.nakedFor[w.expected] {
+	if !w.Naks || w.naked {
 		return
 	}
-	w.nakedFor[w.expected] = true
+	w.naked = true
 	w.Stats.NaksSent++
 	missing := w.expected
 	msg := message.New(nil)
@@ -443,7 +512,7 @@ func (w *Window) sendAck() { w.sendAckIdent(false) }
 // message that carries the connection identification.
 func (w *Window) sendAckIdent(withIdent bool) {
 	w.pendingAcks = 0
-	w.stopAckTimer()
+	w.ackArmed = false
 	w.Stats.AcksSent++
 	msg := message.New(nil)
 	err := w.s.SendControl(w, msg, stack.ControlOpts{
@@ -468,18 +537,21 @@ func (w *Window) processAck(ackTo uint32) {
 	if w.AdaptiveRTO {
 		now = w.s.Clock().Now()
 	}
-	for s := w.ackedTo; seqLT(s, ackTo); s++ {
-		if m, ok := w.unacked[s]; ok {
+	mask := len(w.unacked) - 1
+	for s := w.ackedTo; seqLT(s, ackTo) && w.outstanding > 0; s++ {
+		i := int(s) & mask
+		if m := w.unacked[i]; m != nil {
 			m.Free()
-			delete(w.unacked, s)
+			w.unacked[i] = nil
+			w.outstanding--
 		}
-		if at, ok := w.sentAt[s]; ok {
+		if w.sentAt != nil {
 			// Karn's rule: skip retransmitted frames (their send
 			// time was cleared on retransmission).
-			if w.AdaptiveRTO && !at.IsZero() {
+			if at := w.sentAt[i]; w.AdaptiveRTO && !at.IsZero() {
 				w.observeRTT(now.Sub(at))
 			}
-			delete(w.sentAt, s)
+			w.sentAt[i] = time.Time{}
 		}
 	}
 	w.ackedTo = ackTo
@@ -488,71 +560,69 @@ func (w *Window) processAck(ackTo uint32) {
 		w.sendDisabled = false
 		w.s.EnableSend()
 	}
-	if len(w.unacked) == 0 {
-		w.stopRetransmit()
-	} else {
-		w.rearmRetransmit()
-	}
+	w.rtArmed = false
+	w.armRetransmit()
 }
 
 // resend retransmits one saved frame (nak response), with the connection
 // identification attached — it is an "unusual" message (§2.2).
 func (w *Window) resend(seq uint32) {
-	m, ok := w.unacked[seq]
-	if !ok {
+	if seqLT(seq, w.ackedTo) || !seqLT(seq, w.nextSeq) {
 		return
 	}
+	w.retransmit(seq)
+}
+
+// retransmit puts the saved frame for seq, one of [ackedTo, nextSeq), back
+// on the wire if it is still held.
+func (w *Window) retransmit(seq uint32) bool {
+	i := int(seq) & (len(w.unacked) - 1)
+	m := w.unacked[i]
+	if m == nil {
+		return false
+	}
 	w.Stats.Retransmits++
-	w.sentAt[seq] = time.Time{} // Karn: ambiguous sample, never measure
+	if w.sentAt != nil {
+		w.sentAt[i] = time.Time{} // Karn: ambiguous sample, never measure
+	}
 	_ = w.s.SendRaw(m, true)
+	return true
 }
 
 // onTimeout retransmits everything outstanding (go-back-N) with
 // exponential backoff.
 func (w *Window) onTimeout() {
-	w.rtTimer = nil
-	if len(w.unacked) == 0 {
+	if !w.rtArmed {
+		return
+	}
+	w.rtArmed = false
+	if w.outstanding == 0 {
 		return
 	}
 	w.Stats.Timeouts++
 	w.tel.Event(telemetry.EventFault, w.telConn,
-		"window: retransmit timeout, go-back-N over "+strconv.Itoa(len(w.unacked))+" unacked")
+		"window: retransmit timeout, go-back-N over "+strconv.Itoa(w.outstanding)+" unacked")
 	if w.rtBackoff < 3 {
 		w.rtBackoff++
 	}
 	for s := w.ackedTo; seqLT(s, w.nextSeq); s++ {
-		if m, ok := w.unacked[s]; ok {
-			w.Stats.Retransmits++
-			w.sentAt[s] = time.Time{} // Karn's rule
-			_ = w.s.SendRaw(m, true)
-		}
+		w.retransmit(s)
 	}
 	w.armRetransmit()
 }
 
+// armRetransmit starts the retransmission timeout unless it is already
+// running or nothing is outstanding.
 func (w *Window) armRetransmit() {
-	if w.rtTimer != nil || len(w.unacked) == 0 {
+	if w.rtArmed || w.outstanding == 0 {
 		return
 	}
-	w.rtTimer = w.s.AfterFunc(w.rto()<<uint(w.rtBackoff), w.onTimeout)
-}
-
-func (w *Window) rearmRetransmit() {
-	w.stopRetransmit()
-	w.armRetransmit()
-}
-
-func (w *Window) stopRetransmit() {
-	if w.rtTimer != nil {
-		w.rtTimer.Stop()
-		w.rtTimer = nil
-	}
-}
-
-func (w *Window) stopAckTimer() {
-	if w.ackTimer != nil {
-		w.ackTimer.Stop()
-		w.ackTimer = nil
+	w.rtArmed = true
+	d := w.rto() << uint(w.rtBackoff)
+	if w.rtTimer == nil {
+		w.rtTimer = w.s.AfterFunc(d, w.onTimeout)
+	} else {
+		w.rtTimer.Reset(d)
 	}
 }
 
@@ -569,19 +639,15 @@ func (w *Window) Resume() {
 	w.sendProbe()
 	replays := 0
 	for s := w.ackedTo; seqLT(s, w.nextSeq); s++ {
-		m, ok := w.unacked[s]
-		if !ok {
-			continue
+		if w.retransmit(s) { // Karn: replays never feed the RTT estimate
+			replays++
+			w.Stats.ResumeReplays++
 		}
-		replays++
-		w.Stats.ResumeReplays++
-		w.Stats.Retransmits++
-		w.sentAt[s] = time.Time{} // Karn: replays never feed the RTT estimate
-		_ = w.s.SendRaw(m, true)
 	}
 	w.tel.Event(telemetry.EventResume, w.telConn,
 		"window resume: probe sent, "+strconv.Itoa(replays)+" frames replayed")
-	w.rearmRetransmit()
+	w.rtArmed = false
+	w.armRetransmit()
 }
 
 // sendProbe emits the identified resume probe. Unlike an ack it always
@@ -618,12 +684,12 @@ type WindowState struct {
 func (w *Window) ExportState() WindowState {
 	st := WindowState{NextSeq: w.nextSeq, AckedTo: w.ackedTo, Expected: w.expected}
 	for s := w.ackedTo; seqLT(s, w.nextSeq); s++ {
-		if _, ok := w.unacked[s]; ok {
+		if w.unacked[int(s)&(len(w.unacked)-1)] != nil {
 			st.Unacked = append(st.Unacked, s)
 		}
 	}
-	for s := w.expected; !seqLT(w.expected+4*w.size(), s); s++ {
-		if _, ok := w.oooBuf[s]; ok {
+	for s := w.expected; w.buffered > 0 && !seqLT(w.expected+4*w.size(), s); s++ {
+		if w.oooBuf[int(s)&(len(w.oooBuf)-1)] != nil {
 			st.Buffered = append(st.Buffered, s)
 		}
 	}
@@ -631,7 +697,7 @@ func (w *Window) ExportState() WindowState {
 }
 
 // Outstanding reports the number of unacknowledged frames.
-func (w *Window) Outstanding() int { return len(w.unacked) }
+func (w *Window) Outstanding() int { return w.outstanding }
 
 // Expected returns the next expected incoming sequence number.
 func (w *Window) Expected() uint32 { return w.expected }
@@ -643,16 +709,26 @@ func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 // Close stops the layer's timers (connection teardown) and releases saved
 // frames.
 func (w *Window) Close() error {
-	w.stopRetransmit()
-	w.stopAckTimer()
-	for s, m := range w.unacked {
-		m.Free()
-		delete(w.unacked, s)
+	if w.rtTimer != nil {
+		w.rtTimer.Stop()
 	}
-	for s, m := range w.oooBuf {
-		m.Free()
-		delete(w.oooBuf, s)
+	if w.ackTimer != nil {
+		w.ackTimer.Stop()
 	}
-	clear(w.sentAt)
+	w.rtTimer, w.ackTimer = nil, nil
+	w.rtArmed, w.ackArmed = false, false
+	for i, m := range w.unacked {
+		if m != nil {
+			m.Free()
+			w.unacked[i] = nil
+		}
+	}
+	for _, m := range w.oooBuf {
+		if m != nil {
+			m.Free()
+		}
+	}
+	w.outstanding, w.buffered = 0, 0
+	w.oooBuf, w.sentAt = nil, nil
 	return nil
 }

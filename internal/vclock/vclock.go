@@ -24,11 +24,17 @@ type Clock interface {
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a cancellable pending call created by AfterFunc.
+// Timer is a cancellable, re-armable pending call created by AfterFunc.
 type Timer interface {
 	// Stop cancels the timer. It reports whether the call was stopped
 	// before it ran.
 	Stop() bool
+	// Reset re-arms the timer to call f once, d after Now, whether it is
+	// pending, stopped or has fired: the same schedule as Stop followed
+	// by a new AfterFunc, without creating a timer. Like time.Timer.Reset
+	// it does not wait for a call already started; an owner that re-arms
+	// a timer its callback shares state with keeps its own armed flag.
+	Reset(d time.Duration)
 }
 
 // Real is a Clock backed by the time package.
@@ -44,7 +50,8 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 
 type realTimer struct{ t *time.Timer }
 
-func (r realTimer) Stop() bool { return r.t.Stop() }
+func (r realTimer) Stop() bool            { return r.t.Stop() }
+func (r realTimer) Reset(d time.Duration) { r.t.Reset(d) }
 
 // Manual is a deterministic Clock whose time only moves when Advance or
 // AdvanceTo is called. Timers fire synchronously, in deadline order, on the
@@ -73,15 +80,23 @@ func (m *Manual) Now() time.Time {
 func (m *Manual) AfterFunc(d time.Duration, f func()) Timer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.seq++
-	t := &manualTimer{
-		clock:    m,
-		deadline: m.now.Add(d),
-		seq:      m.seq,
-		f:        f,
-	}
-	heap.Push(&m.pending, t)
+	t := &manualTimer{clock: m, f: f, index: -1}
+	m.schedule(t, d)
 	return t
+}
+
+// schedule queues t, or moves it if it is already queued, to fire d from
+// now. The fresh sequence number puts it behind every timer already due
+// at that instant. Caller holds m.mu.
+func (m *Manual) schedule(t *manualTimer, d time.Duration) {
+	m.seq++
+	t.deadline = m.now.Add(d)
+	t.seq = m.seq
+	if t.index >= 0 {
+		heap.Fix(&m.pending, t.index)
+	} else {
+		heap.Push(&m.pending, t)
+	}
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline
@@ -112,10 +127,6 @@ func (m *Manual) AdvanceToLocked(target time.Time) {
 			break
 		}
 		t := heap.Pop(&m.pending).(*manualTimer)
-		if t.stopped {
-			continue
-		}
-		t.fired = true
 		if t.deadline.After(m.now) {
 			m.now = t.deadline
 		}
@@ -135,9 +146,6 @@ func (m *Manual) AdvanceToLocked(target time.Time) {
 func (m *Manual) NextDeadline() (time.Time, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.pending) > 0 && m.pending[0].stopped {
-		heap.Pop(&m.pending)
-	}
 	if len(m.pending) == 0 {
 		return time.Time{}, false
 	}
@@ -148,34 +156,35 @@ func (m *Manual) NextDeadline() (time.Time, bool) {
 func (m *Manual) PendingCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, t := range m.pending {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(m.pending)
 }
 
 type manualTimer struct {
 	clock    *Manual
 	deadline time.Time
 	seq      uint64 // FIFO tiebreak among equal deadlines
-	index    int
+	index    int    // position in clock.pending; -1 when stopped or fired
 	f        func()
-	stopped  bool
-	fired    bool
 }
 
-// Stop implements Timer.
+// Stop implements Timer. The timer leaves the heap at once, so the heap
+// holds live timers only and a later Reset cannot queue it twice.
 func (t *manualTimer) Stop() bool {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
-	if t.fired || t.stopped {
+	if t.index < 0 {
 		return false
 	}
-	t.stopped = true
+	heap.Remove(&t.clock.pending, t.index)
 	return true
+}
+
+// Reset implements Timer: the timer ends up exactly where Stop followed by
+// a new AfterFunc would have put its replacement.
+func (t *manualTimer) Reset(d time.Duration) {
+	t.clock.mu.Lock()
+	defer t.clock.mu.Unlock()
+	t.clock.schedule(t, d)
 }
 
 // timerHeap is a min-heap of timers ordered by (deadline, seq).
@@ -204,5 +213,6 @@ func (h *timerHeap) Pop() any {
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.index = -1
 	return t
 }

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -266,5 +268,147 @@ func TestQuickAdvanceSplitEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestManualResetMatchesStopAfterFunc runs seeded random schedules of
+// AfterFunc/Stop/Reset/Advance twice — once with Reset, once with every
+// Reset expanded to Stop plus a new AfterFunc — and demands the same
+// callbacks at the same instants in the same order. Delays are drawn
+// from a handful of values so equal deadlines, where only the FIFO
+// sequence number decides, are the common case; some callbacks re-arm
+// their own timer from inside the firing.
+func TestManualResetMatchesStopAfterFunc(t *testing.T) {
+	type firing struct {
+		slot int
+		at   time.Duration
+	}
+	const slots = 6
+	run := func(seed int64, expand bool) ([]firing, []int) {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManual(t0)
+		var log []firing
+		var pending []int
+		var timers [slots]Timer
+		rearm := [slots]int{} // re-arms left for the slot's callback to do itself
+		var arm func(slot int, d time.Duration)
+		arm = func(slot int, d time.Duration) {
+			if timers[slot] != nil && !expand {
+				timers[slot].Reset(d)
+				return
+			}
+			if timers[slot] != nil {
+				timers[slot].Stop()
+			}
+			timers[slot] = m.AfterFunc(d, func() {
+				log = append(log, firing{slot, m.Now().Sub(t0)})
+				if rearm[slot] > 0 {
+					rearm[slot]--
+					arm(slot, time.Duration(slot%3)*time.Millisecond)
+				}
+			})
+		}
+		for i := 0; i < 400; i++ {
+			slot := rng.Intn(slots)
+			d := time.Duration(rng.Intn(4)) * time.Millisecond
+			switch rng.Intn(5) {
+			case 0, 1:
+				arm(slot, d)
+			case 2:
+				rearm[slot] = rng.Intn(3)
+			case 3:
+				if timers[slot] != nil {
+					timers[slot].Stop()
+				}
+			case 4:
+				m.Advance(d)
+			}
+			pending = append(pending, m.PendingCount())
+		}
+		m.Advance(time.Second)
+		return log, pending
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		native, nativePending := run(seed, false)
+		expanded, expandedPending := run(seed, true)
+		if !reflect.DeepEqual(native, expanded) {
+			t.Fatalf("seed %d: firings differ\nReset:          %v\nStop+AfterFunc: %v", seed, native, expanded)
+		}
+		if !reflect.DeepEqual(nativePending, expandedPending) {
+			t.Fatalf("seed %d: PendingCount differs after some operation", seed)
+		}
+		if len(native) == 0 {
+			t.Fatalf("seed %d: schedule fired nothing", seed)
+		}
+	}
+}
+
+// TestManualStopResetLeaveNoTombstones pins the heap to live timers only:
+// a stopped timer leaves at once instead of lingering until its old
+// deadline, so re-arming one timer any number of times keeps one node.
+func TestManualStopResetLeaveNoTombstones(t *testing.T) {
+	m := NewManual(t0)
+	fired := 0
+	other := m.AfterFunc(time.Hour, func() {})
+	tm := m.AfterFunc(time.Minute, func() { fired++ })
+	check := func(i, want int) {
+		t.Helper()
+		if got := m.PendingCount(); got != want || len(m.pending) != want {
+			t.Fatalf("cycle %d: PendingCount = %d, heap length = %d, want %d", i, got, len(m.pending), want)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		switch i % 3 {
+		case 0:
+			if !tm.Stop() {
+				t.Fatalf("cycle %d: Stop of a pending timer reported false", i)
+			}
+			check(i, 1)
+			if tm.Stop() {
+				t.Fatalf("cycle %d: second Stop reported true", i)
+			}
+		case 1:
+			tm.Reset(time.Minute) // stopped → pending
+		case 2:
+			tm.Reset(2 * time.Minute) // pending → moved, not duplicated
+		}
+		if i%3 != 0 {
+			check(i, 2)
+		}
+	}
+	tm.Reset(time.Minute)
+	m.Advance(3 * time.Minute)
+	if fired != 1 {
+		t.Fatalf("timer re-armed through 100000 cycles fired %d times, want 1", fired)
+	}
+	check(-1, 1)
+	tm.Reset(time.Minute) // fired → pending
+	check(-1, 2)
+	other.Stop()
+	m.Advance(time.Minute)
+	if fired != 2 {
+		t.Fatalf("fired = %d after re-arming a fired timer, want 2", fired)
+	}
+	check(-1, 0)
+}
+
+func TestRealReset(t *testing.T) {
+	fired := make(chan struct{}, 2)
+	tm := Real{}.AfterFunc(time.Hour, func() { fired <- struct{}{} })
+	tm.Reset(time.Millisecond) // pending → sooner
+	select {
+	case <-fired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer reset to 1ms never fired")
+	}
+	tm.Reset(time.Millisecond) // fired → armed again
+	select {
+	case <-fired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("fired timer did not fire again after Reset")
+	}
+	tm.Reset(time.Hour)
+	if !tm.Stop() {
+		t.Fatal("Stop after Reset reported the timer not pending")
 	}
 }
