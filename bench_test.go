@@ -107,12 +107,6 @@ func BenchmarkRoundTripAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTripCompiledFilters is the Exokernel-style ablation
-// (§3.3): packet filters lowered to closures instead of interpreted.
-func BenchmarkRoundTripCompiledFilters(b *testing.B) {
-	pingPongBench(b, experiments.PairOptions{CompiledFilters: true}, 8)
-}
-
 // BenchmarkRoundTripDoubledWindow is the §5 layer-doubling experiment:
 // the window layer stacked twice.
 func BenchmarkRoundTripDoubledWindow(b *testing.B) {
@@ -501,18 +495,11 @@ func BenchmarkMultiClientServer(b *testing.B) {
 
 var rrCounter atomic.Int64
 
-// BenchmarkEndpointParallelRecv measures the router under concurrent
-// receives across 8 connections: "sharded" is the production cookie
-// router, "single-lock" the pre-sharding ablation
-// (core.Config.SingleLockRouter). Run with GOMAXPROCS ≥ 8 to see the
-// contention difference.
+// BenchmarkEndpointParallelRecv measures the sharded cookie router under
+// concurrent receives across 8 connections. Run with GOMAXPROCS ≥ 8 so
+// the receives actually overlap.
 func BenchmarkEndpointParallelRecv(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		experiments.BenchParallelRecv(b, experiments.ParallelRecvConns, false)
-	})
-	b.Run("single-lock", func(b *testing.B) {
-		experiments.BenchParallelRecv(b, experiments.ParallelRecvConns, true)
-	})
+	experiments.BenchParallelRecv(b, experiments.ParallelRecvConns)
 }
 
 // BenchmarkFastSendAllocs measures the accelerated send critical path
@@ -541,7 +528,7 @@ func BenchmarkFastSendAllocs(b *testing.B) {
 // receive handler (router lookup, packet filter, fast-path delivery,
 // application callback).
 func BenchmarkFastDeliverAllocs(b *testing.B) {
-	h, err := experiments.NewRecvHarness(1, false)
+	h, err := experiments.NewRecvHarness(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -666,7 +653,7 @@ func BenchmarkShardedRecvBurst(b *testing.B) {
 // within a few ns of the empty-table BenchmarkFastDeliverAllocs number.
 func BenchmarkRouterDeliverLoaded(b *testing.B) {
 	const entries = 100_000
-	h, err := experiments.NewRecvHarness(1, false)
+	h, err := experiments.NewRecvHarness(1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,9 +11,9 @@
 // Usage:
 //
 // The concurrency experiment (not in the paper — the reproduction's own
-// multi-core scaling baseline) measures the sharded router against the
-// single-lock ablation and the fast-path allocation counts; -json writes
-// its machine-readable baseline (BENCH_1.json).
+// multi-core scaling baseline) measures parallel receives through the
+// sharded router and the fast-path allocation counts; -json writes its
+// machine-readable baseline (BENCH_1.json).
 //
 // The faults experiment (also not in the paper, whose testbed observed no
 // message loss) runs the deterministic chaos schedule: loss, duplication,

@@ -28,7 +28,7 @@ func main() {
 	show := flag.Bool("show", false, "disassemble the default stack's send and receive filters")
 	fields := flag.Bool("fields", false, "list assembler-visible header fields")
 	run := flag.Bool("run", false, "run the assembled program against a message")
-	bench := flag.Bool("bench", false, "time the assembled program: interpreted vs compiled vs fused")
+	bench := flag.Bool("bench", false, "time the assembled program")
 	payloadHex := flag.String("payload", "", "hex payload for -run/-bench")
 	flag.Parse()
 
@@ -79,25 +79,18 @@ func main() {
 	}
 }
 
-// benchProgram times the three execution strategies (§3.3/§6 ablation).
+// benchProgram times the interpreter on prog.
 func benchProgram(schema *header.Schema, prog *filter.Program, payload []byte) {
 	env := &filter.Env{Payload: payload, Order: bits.BigEndian}
 	for c := header.Class(0); c < header.NumClasses; c++ {
 		env.Hdr[c] = make([]byte, schema.Size(c))
 	}
 	const rounds = 1 << 20
-	timeIt := func(name string, run func(*filter.Env) int) {
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			run(env)
-		}
-		per := time.Since(start) / rounds
-		fmt.Printf("  %-12s %8v per run\n", name, per)
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		prog.Run(env)
 	}
-	fmt.Println("timing (1M runs each):")
-	timeIt("interpreted", prog.Run)
-	timeIt("compiled", prog.Compile().Run)
-	timeIt("fused", prog.Optimize().Run)
+	fmt.Printf("timing (1M runs): %v per run\n", time.Since(start)/rounds)
 }
 
 func statusName(s int) string {

@@ -3,7 +3,7 @@
 // over the in-memory network, showing the §3.4 message-packing statistics
 // that make the numbers possible.
 //
-//	pastream [-n 200000] [-size 8] [-latency 35us] [-same-size-only]
+//	pastream [-n 200000] [-size 8] [-latency 35us]
 package main
 
 import (
@@ -12,17 +12,14 @@ import (
 	"os"
 	"time"
 
-	"paccel/internal/core"
 	"paccel/internal/experiments"
 	"paccel/internal/netsim"
-	"paccel/internal/vclock"
 )
 
 func main() {
 	n := flag.Int("n", 200000, "messages to stream")
 	size := flag.Int("size", 8, "payload bytes per message")
 	latency := flag.Duration("latency", 0, "simulated one-way network latency (try 35us)")
-	sameSize := flag.Bool("same-size-only", false, "restrict packing to equal-size runs (the paper's PA)")
 	flag.Parse()
 
 	pair, err := experiments.NewPair(experiments.PairOptions{
@@ -30,14 +27,6 @@ func main() {
 	})
 	fail(err)
 	defer pair.Close()
-	if *sameSize {
-		// Rebuild with the restriction for the ablation.
-		pair.Close()
-		net := netsim.Config{Latency: *latency, MTU: 64 << 10}
-		pair, err = newSameSizePair(net)
-		fail(err)
-		defer pair.Close()
-	}
 
 	start := time.Now()
 	msgs, bytesPs, err := pair.StreamOneWay(*n, make([]byte, *size))
@@ -59,35 +48,6 @@ func avg(total, batches uint64) float64 {
 		return 0
 	}
 	return float64(total) / float64(batches)
-}
-
-func newSameSizePair(netCfg netsim.Config) (*experiments.Pair, error) {
-	// experiments.NewPair has no PackSameSizeOnly knob; construct the
-	// endpoints directly.
-	net := netsim.New(vclock.Real{}, netCfg)
-	mk := func(addr string) (*core.Endpoint, error) {
-		return core.NewEndpoint(core.Config{
-			Transport:        net.Endpoint(addr),
-			PackSameSizeOnly: true,
-		})
-	}
-	epA, err := mk("A")
-	if err != nil {
-		return nil, err
-	}
-	epB, err := mk("B")
-	if err != nil {
-		return nil, err
-	}
-	a, err := epA.Dial(core.PeerSpec{Addr: "B", LocalID: []byte("client"), RemoteID: []byte("server"), LocalPort: 1, RemotePort: 2, Epoch: 1})
-	if err != nil {
-		return nil, err
-	}
-	b, err := epB.Dial(core.PeerSpec{Addr: "A", LocalID: []byte("server"), RemoteID: []byte("client"), LocalPort: 2, RemotePort: 1, Epoch: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &experiments.Pair{EpA: epA, EpB: epB, A: a, B: b}, nil
 }
 
 func fail(err error) {

@@ -32,9 +32,9 @@ func (o ByteOrder) String() string {
 	return "big-endian"
 }
 
-// Aligned reports whether a field at bit offset off with the given size can
+// aligned reports whether a field at bit offset off with the given size can
 // use the fast byte-aligned access path.
-func Aligned(off, size int) bool {
+func aligned(off, size int) bool {
 	if off%8 != 0 {
 		return false
 	}
@@ -133,7 +133,7 @@ func WriteBits(buf []byte, off, size int, v uint64) {
 // back to MSB-first ReadBits (ignoring order), so callers can use it
 // unconditionally.
 func ReadUint(buf []byte, off, size int, order ByteOrder) uint64 {
-	if !Aligned(off, size) {
+	if !aligned(off, size) {
 		return ReadBits(buf, off, size)
 	}
 	i := off / 8
@@ -162,7 +162,7 @@ func ReadUint(buf []byte, off, size int, order ByteOrder) uint64 {
 // offset off using the given byte order, falling back to WriteBits for
 // other geometries (as for ReadUint).
 func WriteUint(buf []byte, off, size int, order ByteOrder, v uint64) {
-	if !Aligned(off, size) {
+	if !aligned(off, size) {
 		WriteBits(buf, off, size, v)
 		return
 	}

@@ -130,8 +130,8 @@ func TestAligned(t *testing.T) {
 		{1, 8, false}, {0, 12, false}, {0, 24, false}, {4, 32, false},
 	}
 	for _, c := range cases {
-		if got := Aligned(c.off, c.size); got != c.want {
-			t.Errorf("Aligned(%d,%d) = %v, want %v", c.off, c.size, got, c.want)
+		if got := aligned(c.off, c.size); got != c.want {
+			t.Errorf("aligned(%d,%d) = %v, want %v", c.off, c.size, got, c.want)
 		}
 	}
 }

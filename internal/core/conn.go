@@ -67,7 +67,6 @@ type sideState struct {
 	predict [header.NumClasses][]byte
 	disable int
 	prog    *filter.Program
-	comp    *filter.Compiled
 	backlog []*message.Msg
 
 	// pending is the FIFO of deferred post-processing; head indexes the
@@ -90,14 +89,6 @@ func (s *sideState) popPost() postOp {
 		s.head = 0
 	}
 	return op
-}
-
-// runFilter executes the side's packet filter, compiled if available.
-func (s *sideState) runFilter(env *filter.Env) int {
-	if s.comp != nil {
-		return s.comp.Run(env)
-	}
-	return s.prog.Run(env)
 }
 
 // appOut is one application delivery waiting for its callback. Payloads
@@ -293,10 +284,6 @@ func newConn(ep *Endpoint, spec PeerSpec) (*Conn, error) {
 	}
 	if c.recv.prog, err = rb.Build(); err != nil {
 		return nil, fmt.Errorf("core: recv filter: %w", err)
-	}
-	if ep.cfg.CompiledFilters {
-		c.send.comp = c.send.prog.Compile()
-		c.recv.comp = c.recv.prog.Compile()
 	}
 	c.usesTime = c.send.prog.UsesTime() || c.recv.prog.UsesTime()
 	c.protoN = c.schema.Size(header.ProtoSpec)
@@ -614,7 +601,7 @@ func (c *Conn) sendMsg(m *message.Msg, sizes []int) error {
 	env.Hdr[header.MsgSpec] = msgRegion
 	env.Hdr[header.Gossip] = gos
 
-	switch status := c.send.runFilter(env); {
+	switch status := c.send.prog.Run(env); {
 	case status == filter.StatusOK:
 		c.transmit(m)
 		c.stats.FastSends++
@@ -886,7 +873,7 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 		return
 	}
 
-	if st := c.recv.runFilter(env); st != filter.StatusOK {
+	if st := c.recv.prog.Run(env); st != filter.StatusOK {
 		// The delivery filter checks message-specific correctness;
 		// failures drop the message (checksum mismatch).
 		c.stats.Dropped++
@@ -1206,16 +1193,6 @@ func (c *Conn) kickBacklog() {
 		fit++
 	}
 	n = fit
-	if c.ep.cfg.PackSameSizeOnly {
-		// The paper's PA "only packs together messages of the same
-		// size": take the maximal same-size run.
-		run := 1
-		first := c.send.backlog[0].PayloadLen()
-		for run < n && c.send.backlog[run].PayloadLen() == first {
-			run++
-		}
-		n = run
-	}
 	batch := c.send.backlog[:n]
 	c.send.backlog = c.send.backlog[n:]
 	c.wakeBlocked()
@@ -1397,7 +1374,7 @@ func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlO
 		m.Free()
 		return fmt.Errorf("core: control message rejected below %s", from.Name())
 	}
-	if st := c.send.runFilter(env); st != filter.StatusOK {
+	if st := c.send.prog.Run(env); st != filter.StatusOK {
 		c.putCtx(ctx)
 		c.putEnv(env)
 		m.Free()

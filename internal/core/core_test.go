@@ -564,31 +564,10 @@ func TestModesIdleAtRest(t *testing.T) {
 	}
 }
 
-func TestCompiledFiltersEquivalent(t *testing.T) {
-	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
-		cfgA.CompiledFilters = true
-		cfgB.CompiledFilters = true
-	})
-	for i := 0; i < 10; i++ {
-		if err := r.a.Send([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		r.settleNet(10 * time.Millisecond)
-	}
-	if r.fromA.count() != 10 {
-		t.Fatalf("delivered %d", r.fromA.count())
-	}
-	if st := r.a.Stats(); st.FastSends != 10 {
-		t.Fatalf("FastSends = %d", st.FastSends)
-	}
-}
-
-func TestPackSameSizeOnly(t *testing.T) {
-	r := newRig(t, netsim.Config{Latency: time.Millisecond}, func(cfgA, cfgB *Config) {
-		cfgA.PackSameSizeOnly = true
-	})
-	// Fill the window, then backlog mixed sizes: same-size packing must
-	// still deliver everything in order.
+func TestPackMixedSizes(t *testing.T) {
+	r := newRig(t, netsim.Config{Latency: time.Millisecond}, nil)
+	// Fill the window, then backlog mixed sizes: packing must deliver
+	// everything in order, byte for byte.
 	var want [][]byte
 	for i := 0; i < 30; i++ {
 		p := bytes.Repeat([]byte{byte(i)}, 1+i%3)
@@ -607,6 +586,10 @@ func TestPackSameSizeOnly(t *testing.T) {
 		if !bytes.Equal(r.fromA.get(i), want[i]) {
 			t.Fatalf("message %d differs", i)
 		}
+	}
+	// Sizes cycle 1, 2, 3, so any batch of two or more mixes sizes.
+	if st := r.a.Stats(); st.PackedBatches == 0 {
+		t.Fatalf("no packed batches (backlogged %d): the backlog never mixed sizes", st.Backlogged)
 	}
 }
 

@@ -103,11 +103,6 @@ type Endpoint struct {
 
 	shards [cookieShardCount]cookieShard
 
-	// singleLock emulates the pre-sharding router (one exclusive lock
-	// around every lookup) for benchmarks; see Config.SingleLockRouter.
-	singleLock bool
-	slMu       sync.Mutex
-
 	// template parses identifications of unknown connections; identSize
 	// is the uniform ConnID header size of this endpoint's stack shape.
 	template  Identifier
@@ -279,11 +274,10 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		return nil, errors.New("core: Config.Transport is required")
 	}
 	ep := &Endpoint{
-		cfg:        cfg,
-		conns:      make(map[*Conn]struct{}),
-		byIdent:    make(map[string]*Conn),
-		singleLock: cfg.SingleLockRouter,
-		tel:        cfg.Telemetry,
+		cfg:     cfg,
+		conns:   make(map[*Conn]struct{}),
+		byIdent: make(map[string]*Conn),
+		tel:     cfg.Telemetry,
 	}
 	ep.batch, _ = cfg.Transport.(BatchTransport)
 	ep.batchTo, _ = cfg.Transport.(BatchToTransport)
@@ -464,10 +458,7 @@ func (ep *Endpoint) initTemplate() error {
 
 // Snapshot returns a consistent snapshot of the router counters: every
 // stripe's atomics are summed in one pass, so each reported field is the
-// complete count across stripes as of the pass — the old per-field
-// Stats() accessors read each stripe independently and could return
-// totals torn across them (a receive accounted in one field but not yet
-// in a related one read from a different stripe a moment earlier).
+// complete count across stripes as of the pass.
 func (ep *Endpoint) Snapshot() EndpointStats {
 	var s EndpointStats
 	for i := range ep.stats.stripes {
@@ -522,12 +513,6 @@ func (ep *Endpoint) Snapshot() EndpointStats {
 	return s
 }
 
-// Stats returns a snapshot of the router counters.
-//
-// Deprecated: use Snapshot, which sums the counter stripes in a single
-// pass. Stats is kept as an alias for existing callers.
-func (ep *Endpoint) Stats() EndpointStats { return ep.Snapshot() }
-
 // Telemetry returns the endpoint's telemetry recorder (nil when
 // Config.Telemetry was not set).
 func (ep *Endpoint) Telemetry() *telemetry.Recorder { return ep.tel }
@@ -542,10 +527,6 @@ func (ep *Endpoint) IdentSize() int { return ep.identSize }
 // stable while we hold it), still no exclusive lock and no clock read on
 // the receive path.
 func (ep *Endpoint) lookupCookie(cookie uint64) *Conn {
-	if ep.singleLock {
-		ep.slMu.Lock()
-		defer ep.slMu.Unlock()
-	}
 	sh := &ep.shards[shardIndex(cookie)]
 	sh.mu.RLock()
 	v := sh.tab.lookup(cookie)
@@ -762,16 +743,7 @@ func (ep *Endpoint) onRecv(src string, datagram []byte) {
 		return
 	}
 	st := ep.stats.stripe(stripeKey(src))
-	if ep.singleLock {
-		// Faithful pre-sharding behaviour: even the receive counter was
-		// a critical section of the one endpoint mutex, so every
-		// datagram paid two exclusive acquisitions (count, then route).
-		ep.slMu.Lock()
-		st.received.Add(1)
-		ep.slMu.Unlock()
-	} else {
-		st.received.Add(1)
-	}
+	st.received.Add(1)
 
 	pre, err := DecodePreamble(datagram)
 	if err != nil {
@@ -818,20 +790,11 @@ func (ep *Endpoint) onRecv(src string, datagram []byte) {
 // lookupIdent routes an identified message, consulting the accept hook for
 // unknown identifications.
 func (ep *Endpoint) lookupIdent(cid []byte, pre Preamble, src string) *Conn {
-	if ep.singleLock {
-		ep.slMu.Lock()
-		c := ep.byIdent[string(cid)]
-		ep.slMu.Unlock()
-		if c != nil {
-			return c
-		}
-	} else {
-		ep.identMu.RLock()
-		c := ep.byIdent[string(cid)]
-		ep.identMu.RUnlock()
-		if c != nil {
-			return c
-		}
+	ep.identMu.RLock()
+	c := ep.byIdent[string(cid)]
+	ep.identMu.RUnlock()
+	if c != nil {
+		return c
 	}
 	st := ep.stats.stripe(stripeKey(src))
 	accept := ep.cfg.Accept
@@ -864,7 +827,7 @@ func (ep *Endpoint) lookupIdent(cid []byte, pre Preamble, src string) *Conn {
 	}
 	// The accepted spec must route the identification that created it.
 	ep.identMu.RLock()
-	c := ep.byIdent[string(cid)]
+	c = ep.byIdent[string(cid)]
 	ep.identMu.RUnlock()
 	if c == nil {
 		// Accept hook returned a mismatched spec; route explicitly so

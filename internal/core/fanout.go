@@ -219,7 +219,7 @@ func (f *Fanout) Send(payload []byte) error {
 	f.tenv.Hdr[header.MsgSpec] = msgRegion
 	f.tenv.Hdr[header.Gossip] = gos
 
-	if status := tc.send.runFilter(&f.tenv); status != filter.StatusOK {
+	if status := tc.send.prog.Run(&f.tenv); status != filter.StatusOK {
 		// The filter wants the slow path for this shape (an over-threshold
 		// payload headed for fragmentation): no shared template exists, so
 		// every member takes its own full send.

@@ -411,9 +411,11 @@ func (l *msgSpecPredictor) PreSend(ctx *stack.Context, m *message.Msg) stack.Ver
 	l.tag.Write(ctx.Env.Hdr[header.MsgSpec], ctx.Order, 0xA5)
 	return stack.Continue
 }
-func (l *msgSpecPredictor) PostSend(*stack.Context, *message.Msg)                 {}
-func (l *msgSpecPredictor) PreDeliver(*stack.Context, *message.Msg) stack.Verdict { return stack.Continue }
-func (l *msgSpecPredictor) PostDeliver(*stack.Context, *message.Msg)              {}
+func (l *msgSpecPredictor) PostSend(*stack.Context, *message.Msg) {}
+func (l *msgSpecPredictor) PreDeliver(*stack.Context, *message.Msg) stack.Verdict {
+	return stack.Continue
+}
+func (l *msgSpecPredictor) PostDeliver(*stack.Context, *message.Msg) {}
 
 // TestFanoutFallbackOnPredictedMsgSpec checks the runtime backstop: a
 // layer that predicts MsgSpec bytes invalidates the shared template, so

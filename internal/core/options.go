@@ -194,18 +194,6 @@ type Config struct {
 	// application is idle or blocked" (§1). Without it, LazyPost relies
 	// on the next operation or an explicit Flush.
 	IdleDrain bool
-	// CompiledFilters runs packet filters through the closure compiler
-	// instead of the interpreter (the Exokernel-style optimization).
-	CompiledFilters bool
-	// SingleLockRouter routes every incoming datagram through one
-	// exclusive endpoint lock instead of the sharded cookie table — the
-	// pre-sharding router, kept as a benchmarking ablation so the
-	// contention cost stays measurable (BenchmarkEndpointParallelRecv).
-	// Never set it in production configurations.
-	SingleLockRouter bool
-	// PackSameSizeOnly restricts message packing to runs of equal-sized
-	// messages, the paper's current PA. Default false: general packing.
-	PackSameSizeOnly bool
 	// MaxBacklog bounds the send backlog; 0 means 1024. A send that
 	// finds the window closed and the backlog at the bound returns
 	// ErrBacklogFull (which wraps ErrBackpressure) — or blocks, with

@@ -49,8 +49,8 @@ func packMeta(epoch uint64, learned bool) uint64 {
 	return m
 }
 
-func metaEpoch(m uint64) uint64   { return m >> 1 }
-func metaLearned(m uint64) bool   { return m&metaLearnedBit != 0 }
+func metaEpoch(m uint64) uint64 { return m >> 1 }
+func metaLearned(m uint64) bool { return m&metaLearnedBit != 0 }
 func metaStamp(m, epoch uint64) uint64 {
 	return epoch<<1 | m&metaLearnedBit
 }

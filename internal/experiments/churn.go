@@ -292,7 +292,9 @@ func churnLoad(n int) (*ChurnLoadPoint, error) {
 
 // handlerGrab steals a reference to the endpoint's receive callback so
 // frames can be replayed without the network.
-type handlerGrab struct{ fn func(src string, datagram []byte) }
+type handlerGrab struct {
+	fn func(src string, datagram []byte)
+}
 
 type handlerGrabTap struct {
 	core.Transport

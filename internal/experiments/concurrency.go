@@ -106,15 +106,13 @@ func (t handlerTap) SetHandler(fn func(src string, datagram []byte)) {
 // NewRecvHarness builds a server endpoint with nConns pre-agreed-cookie
 // connections over an instantaneous network, captures one fast-path frame
 // per connection, and returns the harness ready for Deliver calls.
-// singleLock selects the pre-sharding router ablation.
-func NewRecvHarness(nConns int, singleLock bool) (*RecvHarness, error) {
+func NewRecvHarness(nConns int) (*RecvHarness, error) {
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	h := &RecvHarness{counts: make([]paddedCounter, nConns)}
 	tap := &tapTransport{inner: net.Endpoint("S")}
 	server, err := core.NewEndpoint(core.Config{
-		Transport:        handlerTap{tap, h},
-		Build:            LeanStack,
-		SingleLockRouter: singleLock,
+		Transport: handlerTap{tap, h},
+		Build:     LeanStack,
 	})
 	if err != nil {
 		return nil, err
@@ -204,15 +202,15 @@ func (h *RecvHarness) Close() {
 
 // ParallelRecvConns is the connection count the concurrency experiment
 // and BenchmarkEndpointParallelRecv use: enough connections that a
-// single-lock router is visibly contended on any multicore machine.
+// contended router is visibly slower on any multicore machine.
 const ParallelRecvConns = 8
 
 // BenchParallelRecv hammers one endpoint with concurrent receives across
 // nConns connections, each parallel worker replaying a different
 // connection's frame. It is the body of BenchmarkEndpointParallelRecv and
 // of the pabench concurrency experiment.
-func BenchParallelRecv(b *testing.B, nConns int, singleLock bool) {
-	h, err := NewRecvHarness(nConns, singleLock)
+func BenchParallelRecv(b *testing.B, nConns int) {
+	h, err := NewRecvHarness(nConns)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,11 +238,8 @@ type ConcurrencyResult struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	Conns      int `json:"conns"`
 
-	// Parallel receive routing, sharded router vs the single-lock
-	// ablation (Config.SingleLockRouter).
-	ShardedRecvNsOp    float64 `json:"sharded_recv_ns_op"`
-	SingleLockRecvNsOp float64 `json:"single_lock_recv_ns_op"`
-	RecvImprovementPct float64 `json:"recv_improvement_pct"`
+	// Parallel receive routing through the sharded router.
+	ShardedRecvNsOp float64 `json:"sharded_recv_ns_op"`
 
 	// Fast-path allocation counts (lean stack, perfect network). Send
 	// includes the synchronous delivery on the other side.
@@ -287,7 +282,7 @@ func SendAllocsPerOp(runs int) (float64, error) {
 // replay harness (router lookup + filter + fast-path delivery +
 // application callback).
 func DeliverAllocsPerOp(runs int) (float64, error) {
-	h, err := NewRecvHarness(1, false)
+	h, err := NewRecvHarness(1)
 	if err != nil {
 		return 0, err
 	}
@@ -300,8 +295,7 @@ func DeliverAllocsPerOp(runs int) (float64, error) {
 }
 
 // Concurrency runs the scaling experiment: parallel receive throughput
-// with the sharded router vs the single-lock ablation, plus fast-path
-// allocation counts.
+// through the sharded router, plus fast-path allocation counts.
 func Concurrency(quick bool) (*ConcurrencyResult, error) {
 	runs := 2000
 	if quick {
@@ -325,23 +319,13 @@ func Concurrency(quick bool) (*ConcurrencyResult, error) {
 	if quick {
 		reps = 2
 	}
-	minNs := func(singleLock bool) float64 {
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			out := testing.Benchmark(func(b *testing.B) {
-				BenchParallelRecv(b, ParallelRecvConns, singleLock)
-			})
-			ns := float64(out.NsPerOp())
-			if r == 0 || ns < best {
-				best = ns
-			}
+	for r := 0; r < reps; r++ {
+		out := testing.Benchmark(func(b *testing.B) {
+			BenchParallelRecv(b, ParallelRecvConns)
+		})
+		if ns := float64(out.NsPerOp()); r == 0 || ns < res.ShardedRecvNsOp {
+			res.ShardedRecvNsOp = ns
 		}
-		return best
-	}
-	res.ShardedRecvNsOp = minNs(false)
-	res.SingleLockRecvNsOp = minNs(true)
-	if res.SingleLockRecvNsOp > 0 {
-		res.RecvImprovementPct = 100 * (res.SingleLockRecvNsOp - res.ShardedRecvNsOp) / res.SingleLockRecvNsOp
 	}
 
 	var err error
@@ -369,7 +353,7 @@ func Concurrency(quick bool) (*ConcurrencyResult, error) {
 	})
 	res.SendNsOp = float64(sendBench.NsPerOp())
 	delivBench := testing.Benchmark(func(b *testing.B) {
-		h, err := NewRecvHarness(1, false)
+		h, err := NewRecvHarness(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,11 +371,10 @@ func Concurrency(quick bool) (*ConcurrencyResult, error) {
 func ConcurrencyReport(r *ConcurrencyResult) string {
 	return fmt.Sprintf(`Concurrency scaling (GOMAXPROCS=%d, %d connections)
   parallel recv, sharded router:      %8.1f ns/op
-  parallel recv, single-lock router:  %8.1f ns/op   (improvement %.1f%%)
   fast send  (lean stack):            %8.1f ns/op, %.3f allocs/op
   fast deliver (replay harness):      %8.1f ns/op, %.3f allocs/op
 `, r.GOMAXPROCS, r.Conns,
-		r.ShardedRecvNsOp, r.SingleLockRecvNsOp, r.RecvImprovementPct,
+		r.ShardedRecvNsOp,
 		r.SendNsOp, r.SendAllocsPerOp,
 		r.DeliverNsOp, r.DeliverAllocsPerOp)
 }

@@ -40,10 +40,9 @@ type Conn = core.Conn
 
 // PairOptions tweak the real-measurement fixture.
 type PairOptions struct {
-	NetConfig       netsim.Config
-	Build           core.StackBuilder
-	CompiledFilters bool
-	LazyPost        bool
+	NetConfig netsim.Config
+	Build     core.StackBuilder
+	LazyPost  bool
 
 	// Telemetry, when non-nil, is installed on both endpoints (and on the
 	// network, for fault events). TelemetrySampleEvery is forwarded to
@@ -63,7 +62,6 @@ func NewPair(opt PairOptions) (*Pair, error) {
 		return core.Config{
 			Transport:            net.Endpoint(addr),
 			Build:                opt.Build,
-			CompiledFilters:      opt.CompiledFilters,
 			LazyPost:             opt.LazyPost,
 			Telemetry:            opt.Telemetry,
 			TelemetrySampleEvery: opt.TelemetrySampleEvery,

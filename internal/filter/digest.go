@@ -11,8 +11,9 @@ import (
 // we use a registry of named functions so programs remain serializable.
 type DigestFunc func(payload []byte) uint64
 
-// DigestID identifies a registered digest function.
-type DigestID int
+// DigestID identifies a registered digest function. It is 32 bits wide so
+// that Instr packs it beside the op code.
+type DigestID int32
 
 var digests struct {
 	sync.RWMutex
@@ -23,6 +24,8 @@ var digests struct {
 
 // RegisterDigest registers fn under name and returns its id. Registering a
 // name twice replaces the function (tests use this); the id is stable.
+// Builder.Build binds the function registered at build time, so a
+// replacement affects only programs built afterwards.
 func RegisterDigest(name string, fn DigestFunc) DigestID {
 	digests.Lock()
 	defer digests.Unlock()
@@ -59,9 +62,7 @@ func DigestName(id DigestID) string {
 }
 
 // DigestByID returns the registered digest function for id.
-func DigestByID(id DigestID) (DigestFunc, bool) { return digestFunc(id) }
-
-func digestFunc(id DigestID) (DigestFunc, bool) {
+func DigestByID(id DigestID) (DigestFunc, bool) {
 	digests.RLock()
 	defer digests.RUnlock()
 	if id < 0 || int(id) >= len(digests.funcs) {

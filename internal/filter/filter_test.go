@@ -1,10 +1,13 @@
 package filter
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"paccel/internal/bits"
 	"paccel/internal/header"
@@ -253,11 +256,6 @@ func TestSetConst(t *testing.T) {
 	if err := p.SetConst(99, 5); err == nil {
 		t.Fatal("SetConst out of range accepted")
 	}
-	// The compiled form shares storage, so the patch is visible there
-	// too.
-	if got := p.Compile().Run(env); got != StatusOK {
-		t.Fatalf("compiled post-patch = %d", got)
-	}
 }
 
 func TestFallOffEndReturnsOK(t *testing.T) {
@@ -309,7 +307,7 @@ func TestDigestRegistry(t *testing.T) {
 	if id2 != id {
 		t.Fatal("re-registration changed id")
 	}
-	fn, _ := digestFunc(id)
+	fn, _ := DigestByID(id)
 	if fn(nil) != 7 {
 		t.Fatal("re-registration did not replace function")
 	}
@@ -393,70 +391,156 @@ func TestSchemaResolverLayerQualified(t *testing.T) {
 	}
 }
 
-// Property: the compiled program agrees with the interpreter on random
-// programs built from random (but valid) instruction streams.
-func TestQuickCompiledMatchesInterpreter(t *testing.T) {
+// randomProgram emits a random instruction stream that mostly respects
+// stack discipline; Build rejects the rest.
+func randomProgram(rng *rand.Rand, handles []header.Handle) *Builder {
+	b := NewBuilder()
+	depth := 0
+	for i, n := 0, 3+rng.Intn(20); i < n; i++ {
+		switch k := rng.Intn(10); {
+		case k < 3 || depth == 0:
+			switch rng.Intn(5) {
+			case 0:
+				b.PushConst(int64(rng.Uint64()) >> uint(rng.Intn(64)))
+			case 1:
+				b.PushField(handles[rng.Intn(len(handles))])
+			case 2:
+				b.PushSize()
+			case 3:
+				b.PushTime()
+			case 4:
+				b.Digest(DigestInternet)
+			}
+			depth++
+		case k < 6 && depth >= 2:
+			b.Arith(Add + Op(rng.Intn(int(Ge-Add)+1))) // any binary op
+			depth--
+		case k < 7:
+			b.PopField(handles[rng.Intn(len(handles))])
+			depth--
+		case k < 8:
+			b.Abort(int64(rng.Intn(5)))
+			depth--
+		case k < 9:
+			b.Arith(Dup)
+			depth++
+		default:
+			b.Arith(Not)
+		}
+	}
+	return b
+}
+
+// checkRunProperties holds one run of a Build-accepted program to what
+// must be true of it without a second executor to compare with: it does
+// not panic, it is deterministic, its status is one the program or the VM
+// can produce, it writes only the fields the program pops into, and it
+// leaves the payload alone unless the program seals or opens it.
+func checkRunProperties(t *testing.T, p *Program, s *header.Schema, payload []byte) {
+	t.Helper()
+	fresh := func() *Env {
+		env := newEnv(s, append([]byte(nil), payload...))
+		env.Time = 42
+		for _, h := range env.Hdr {
+			for i := range h {
+				h[i] = 0xA5
+			}
+		}
+		return env
+	}
+	env, again, before := fresh(), fresh(), fresh()
+	status := p.Run(env)
+	if got := p.Run(again); got != status || !reflect.DeepEqual(env.Hdr, again.Hdr) {
+		t.Fatalf("not deterministic: status %d headers %x, then %d %x\n%s",
+			status, env.Hdr, got, again.Hdr, p.Disassemble())
+	}
+	// Blank the popped fields on both sides: what is left of the result
+	// must equal what was there before the run.
+	allowed := map[int]bool{StatusOK: true, StatusFault: true}
+	crypts := false
+	for _, in := range p.Instructions() {
+		switch in.Op {
+		case Return, Abort:
+			allowed[int(in.Arg)] = true
+		case PopField:
+			in.Field.Write(env.hdr(in.Field), env.Order, 0)
+			in.Field.Write(before.hdr(in.Field), before.Order, 0)
+		case Seal, Open:
+			crypts = true
+		}
+	}
+	if !allowed[status] {
+		t.Fatalf("status %d is not OK, fault or a return/abort argument\n%s", status, p.Disassemble())
+	}
+	for cl := range env.Hdr {
+		if !bytes.Equal(env.Hdr[cl], before.Hdr[cl]) {
+			t.Fatalf("class %d header changed outside the popped fields: %x, was %x\n%s",
+				cl, env.Hdr[cl], before.Hdr[cl], p.Disassemble())
+		}
+	}
+	if !crypts && !bytes.Equal(env.Payload, payload) {
+		t.Fatalf("payload changed without seal/open\n%s", p.Disassemble())
+	}
+}
+
+// Property: Run satisfies checkRunProperties on random valid programs.
+func TestQuickRunProperties(t *testing.T) {
 	s, length, cksum, seq := testSchema(t)
 	handles := []header.Handle{length, cksum, seq}
+	built := 0
 	f := func(seed int64, payload []byte) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder()
-		depth := 0
-		n := 3 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			switch k := rng.Intn(10); {
-			case k < 3 || depth == 0:
-				switch rng.Intn(4) {
-				case 0:
-					b.PushConst(int64(rng.Uint64()))
-				case 1:
-					b.PushField(handles[rng.Intn(len(handles))])
-				case 2:
-					b.PushSize()
-				case 3:
-					b.Digest(DigestInternet)
-				}
-				depth++
-			case k < 6 && depth >= 2:
-				ops := []Op{Add, Sub, Mul, And, Or, Xor, Eq, Ne, Lt, Le, Gt, Ge}
-				b.Arith(ops[rng.Intn(len(ops))])
-				depth--
-			case k < 7:
-				b.PopField(handles[rng.Intn(len(handles))])
-				depth--
-			case k < 8:
-				b.Abort(int64(rng.Intn(5)))
-				depth--
-			case k < 9:
-				b.Arith(Dup)
-				depth++
-			default:
-				b.Arith(Not)
-			}
-		}
-		p, err := b.Build()
-		if err != nil {
-			return true // generator produced invalid program; skip
-		}
-		c := p.Compile()
-		envI := newEnv(s, payload)
-		envC := newEnv(s, payload)
-		ri := p.Run(envI)
-		rc := c.Run(envC)
-		if ri != rc {
-			return false
-		}
-		for cl := header.Class(0); cl < header.NumClasses; cl++ {
-			for i := range envI.Hdr[cl] {
-				if envI.Hdr[cl][i] != envC.Hdr[cl][i] {
-					return false
-				}
-			}
+		p, err := randomProgram(rand.New(rand.NewSource(seed)), handles).Build()
+		if err == nil {
+			built++
+			checkRunProperties(t, p, s, payload)
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	if built < 100 {
+		t.Fatalf("only %d of 500 random programs passed validation", built)
+	}
+}
+
+// Build resolves each digest once: a later re-registration does not reach
+// into programs already built, and Run touches neither the process-wide
+// registry lock nor the heap.
+func TestRunBindsDigestAtBuild(t *testing.T) {
+	s, _, cksum, _ := testSchema(t)
+	build := func(v uint64) *Program {
+		b := NewBuilder()
+		b.Digest(RegisterDigest("bind-test", func([]byte) uint64 { return v }))
+		b.PopField(cksum)
+		return b.MustBuild()
+	}
+	first, second := build(1), build(2)
+	env := newEnv(s, []byte("payload!"))
+
+	// With the registry write-locked, a Run that consulted it would block.
+	digests.Lock()
+	var got [2]uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, p := range []*Program{first, second} {
+			p.Run(env)
+			got[i] = cksum.Read(env.Hdr[header.MsgSpec], env.Order)
+		}
+	}()
+	select {
+	case <-done:
+		digests.Unlock()
+	case <-time.After(5 * time.Second):
+		digests.Unlock()
+		t.Fatal("Run blocked on the digest registry lock")
+	}
+	if got != [2]uint64{1, 2} {
+		t.Fatalf("digests computed = %v, want [1 2]: each program keeps the function it was built with", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { first.Run(env) }); allocs != 0 {
+		t.Fatalf("Run allocates %.1f times per run", allocs)
 	}
 }
 
@@ -488,18 +572,6 @@ func TestRunAllocationFree(t *testing.T) {
 func BenchmarkInterpreted(b *testing.B) {
 	s, length, cksum, _ := testSchema(b)
 	send := sendProgram(b, length, cksum, 1024)
-	env := newEnv(s, make([]byte, 8))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if send.Run(env) != StatusOK {
-			b.Fatal("filter failed")
-		}
-	}
-}
-
-func BenchmarkCompiled(b *testing.B) {
-	s, length, cksum, _ := testSchema(b)
-	send := sendProgram(b, length, cksum, 1024).Compile()
 	env := newEnv(s, make([]byte, 8))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -40,17 +40,19 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
-// FuzzRunNeverPanics executes accepted programs on arbitrary payloads.
+// FuzzRunNeverPanics executes accepted programs on arbitrary payloads and
+// holds each run to checkRunProperties.
 func FuzzRunNeverPanics(f *testing.F) {
 	s := header.New()
-	ln, _ := s.AddField(header.MsgSpec, "l", "len", 16, header.DontCare)
-	ck, _ := s.AddField(header.MsgSpec, "l", "ck", 16, header.DontCare)
+	for _, name := range []string{"len", "ck"} {
+		if _, err := s.AddField(header.MsgSpec, "l", name, 16, header.DontCare); err != nil {
+			f.Fatal(err)
+		}
+	}
 	if err := s.Compile(); err != nil {
 		f.Fatal(err)
 	}
 	resolve := SchemaResolver(s)
-	_ = ln
-	_ = ck
 	f.Add("push.size\npop.field len\ndigest inet16\npop.field ck", []byte("payload"))
 	f.Add("push.field len\npush.size\nne\nabort -1", []byte{})
 	f.Fuzz(func(t *testing.T, src string, payload []byte) {
@@ -58,18 +60,6 @@ func FuzzRunNeverPanics(f *testing.F) {
 		if err != nil {
 			return
 		}
-		env := func() *Env {
-			e := &Env{Payload: payload}
-			for c := header.Class(0); c < header.NumClasses; c++ {
-				e.Hdr[c] = make([]byte, s.Size(c))
-			}
-			return e
-		}
-		r1 := p.Run(env())
-		r2 := p.Compile().Run(env())
-		r3 := p.Optimize().Run(env())
-		if r1 != r2 || r1 != r3 {
-			t.Fatalf("strategies disagree: %d %d %d on %q", r1, r2, r3, src)
-		}
+		checkRunProperties(t, p, s, payload)
 	})
 }

@@ -26,9 +26,7 @@ import "fmt"
 type Op uint8
 
 // The operation set. PushConst..Abort are the paper's Table 2; Dup, Swap
-// and Not are the "customized instructions" convenience ops; the *Fast
-// variants are produced automatically by Program.Compile for conveniently
-// aligned fields.
+// and Not are the "customized instructions" convenience ops.
 const (
 	// Nop does nothing; patched-out instructions become Nops.
 	Nop Op = iota

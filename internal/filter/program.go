@@ -10,9 +10,13 @@ import (
 // Instr is one packet filter instruction.
 type Instr struct {
 	Op    Op
+	Dig   DigestID      // Digest function; shares a word with Op
 	Arg   int64         // PushConst value; Return/Abort status
 	Field header.Handle // PushField / PopField target
-	Dig   DigestID      // Digest function
+
+	// digest is Dig's function, resolved once by Build so that Run does
+	// not consult the process-wide registry per message.
+	digest DigestFunc
 }
 
 // String renders the instruction in assembler syntax.
@@ -178,23 +182,28 @@ func (b *Builder) fail(msg string) {
 }
 
 // Build validates the program and returns it. Validation checks that the
-// stack never underflows, that every digest id is registered, and computes
-// the maximum stack depth (possible because programs have no loops, §3.3).
+// stack never underflows, that every digest id is registered (binding the
+// function registered at this moment into the program), and computes the
+// maximum stack depth (possible because programs have no loops, §3.3).
 // A program that falls off the end returns StatusOK.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	ins := append([]Instr(nil), b.ins...)
 	depth, maxDepth := 0, 0
-	for i, in := range b.ins {
+	for i := range ins {
+		in := &ins[i]
 		pops, pushes := in.Op.stackEffect()
 		if _, known := opNames[in.Op]; !known {
 			return nil, fmt.Errorf("filter: instruction %d: unknown op %d", i, uint8(in.Op))
 		}
 		if in.Op == Digest {
-			if _, ok := digestFunc(in.Dig); !ok {
+			fn, ok := DigestByID(in.Dig)
+			if !ok {
 				return nil, fmt.Errorf("filter: instruction %d: unregistered digest %d", i, in.Dig)
 			}
+			in.digest = fn
 		}
 		if (in.Op == PushField || in.Op == PopField || in.Op == Seal || in.Op == Open) && !in.Field.Valid() {
 			return nil, fmt.Errorf("filter: instruction %d: invalid field handle", i)
@@ -207,11 +216,10 @@ func (b *Builder) Build() (*Program, error) {
 		if depth > maxDepth {
 			maxDepth = depth
 		}
-		if in.Op == Return && i < len(b.ins)-1 {
+		if in.Op == Return && i < len(ins)-1 {
 			return nil, fmt.Errorf("filter: instruction %d: unreachable code after return", i)
 		}
 	}
-	ins := append([]Instr(nil), b.ins...)
 	return &Program{ins: ins, maxStack: maxDepth}, nil
 }
 

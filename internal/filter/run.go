@@ -60,11 +60,7 @@ func (p *Program) Run(env *Env) int {
 		case PushTime:
 			stack = append(stack, env.Time)
 		case Digest:
-			fn, ok := digestFunc(in.Dig)
-			if !ok {
-				return StatusFault
-			}
-			stack = append(stack, fn(env.Payload))
+			stack = append(stack, in.digest(env.Payload))
 		case PopField:
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
