@@ -97,17 +97,89 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"paccel/internal/experiments"
 )
 
+// experiment is one row of the table of experiments that produce a
+// machine-readable result (-json). The paper's own tables and figures
+// print text only and stay as explicit blocks in main.
+type experiment struct {
+	name          string
+	needsHardware bool // a real measurement: skipped under -sim-only
+	seeded        bool // -seed pins its schedule
+	run           func(quick bool, seed int64) (report string, result any, err error)
+}
+
+var table = []experiment{
+	{name: "concurrency", needsHardware: true, run: unseeded(experiments.Concurrency, experiments.ConcurrencyReport)},
+	{name: "faults", seeded: true, run: seeded(experiments.Faults, experiments.FaultsReport)},
+	{name: "recovery", seeded: true, run: seeded(experiments.Recovery, experiments.RecoveryReport)},
+	{name: "batch", needsHardware: true, run: unseeded(experiments.Batch, experiments.BatchReport)},
+	{name: "gso", needsHardware: true, run: unseeded(experiments.GSO, experiments.GSOReport)},
+	{name: "fanout", needsHardware: true, run: unseeded(experiments.Fanout, experiments.FanoutReport)},
+	{name: "telemetry", needsHardware: true, run: unseeded(experiments.Telemetry, experiments.TelemetryReport)},
+	{name: "churn", needsHardware: true, seeded: true, run: seeded(experiments.Churn, experiments.ChurnReport)},
+	{name: "topo", seeded: true, run: seeded(topo, experiments.TopoReport)},
+	{name: "secure", needsHardware: true, run: unseeded(experiments.Secure, experiments.SecureReport)},
+}
+
+func seeded[R any](run func(bool, int64) (R, error), report func(R) string) func(bool, int64) (string, any, error) {
+	return func(quick bool, seed int64) (string, any, error) {
+		res, err := run(quick, seed)
+		if err != nil {
+			return "", nil, err
+		}
+		return report(res), res, nil
+	}
+}
+
+func unseeded[R any](run func(bool) (R, error), report func(R) string) func(bool, int64) (string, any, error) {
+	return seeded(func(quick bool, _ int64) (R, error) { return run(quick) }, report)
+}
+
+// names lists the table's experiments (all, or the seeded ones) for the
+// flag help.
+func names(onlySeeded bool) string {
+	var ns []string
+	for _, e := range table {
+		if e.seeded || !onlySeeded {
+			ns = append(ns, e.name)
+		}
+	}
+	return strings.Join(ns, ", ")
+}
+
+// topoPcapDir is where topo drops each schedule's interior-edge trace
+// (topo_<schedule>.pcap): next to the -json baseline; empty discards them.
+var topoPcapDir string
+
+func topo(quick bool, seed int64) (*experiments.TopoResult, error) {
+	var pcapFor func(string) io.Writer
+	var opened []*os.File
+	if topoPcapDir != "" {
+		pcapFor = func(scenario string) io.Writer {
+			f, err := os.Create(filepath.Join(topoPcapDir, "topo_"+scenario+".pcap"))
+			fail(err)
+			opened = append(opened, f)
+			return f
+		}
+	}
+	res, err := experiments.Topo(quick, seed, pcapFor)
+	for _, f := range opened {
+		fail(f.Close())
+	}
+	return res, err
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table4, fig4, fig5, layers, headers, baseline, serverload, hiccups, concurrency, faults, recovery, batch, gso, fanout, telemetry, churn, topo, secure")
+	exp := flag.String("exp", "all", "experiment to run: all, table4, fig4, fig5, layers, headers, baseline, serverload, hiccups, "+names(false))
 	quick := flag.Bool("quick", false, "use short real-measurement runs")
 	simOnly := flag.Bool("sim-only", false, "skip the real-hardware measurements")
 	csv := flag.Bool("csv", false, "with -exp fig5: emit plot-ready CSV instead of the table")
-	jsonPath := flag.String("json", "", "with -exp concurrency, faults, recovery, batch, gso, fanout, telemetry, churn, topo, or secure: also write the machine-readable baseline to this file")
-	seed := flag.Int64("seed", 0, "with -exp faults, recovery, churn, or topo: schedule seed (0 = fixed default)")
+	jsonPath := flag.String("json", "", "with -exp "+names(false)+": also write the machine-readable baseline to this file")
+	seed := flag.Int64("seed", 0, "with -exp "+names(true)+": schedule seed (0 = fixed default)")
 	flag.Parse()
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
@@ -170,204 +242,31 @@ func main() {
 		any = true
 		fmt.Println(experiments.Hiccups())
 	}
-	if run("concurrency") {
-		any = true
-		if *simOnly {
-			fmt.Println("concurrency: skipped (real-hardware measurement only)")
-		} else {
-			concurrency(*quick, *jsonPath)
+	if *jsonPath != "" {
+		topoPcapDir = filepath.Dir(*jsonPath)
+	}
+	for _, e := range table {
+		if !run(e.name) {
+			continue
 		}
-	}
-	if run("faults") {
 		any = true
-		faults(*quick, *seed, *jsonPath)
-	}
-	if run("recovery") {
-		any = true
-		recovery(*quick, *seed, *jsonPath)
-	}
-	if run("batch") {
-		any = true
-		if *simOnly {
-			fmt.Println("batch: skipped (real-hardware measurement only)")
-		} else {
-			batch(*quick, *jsonPath)
+		if e.needsHardware && *simOnly {
+			fmt.Printf("%s: skipped (real-hardware measurement only)\n", e.name)
+			continue
 		}
-	}
-	if run("gso") {
-		any = true
-		if *simOnly {
-			fmt.Println("gso: skipped (real-hardware measurement only)")
-		} else {
-			gso(*quick, *jsonPath)
-		}
-	}
-	if run("fanout") {
-		any = true
-		if *simOnly {
-			fmt.Println("fanout: skipped (real-hardware measurement only)")
-		} else {
-			fanout(*quick, *jsonPath)
-		}
-	}
-	if run("telemetry") {
-		any = true
-		if *simOnly {
-			fmt.Println("telemetry: skipped (real-hardware measurement only)")
-		} else {
-			telemetryExp(*quick, *jsonPath)
-		}
-	}
-	if run("churn") {
-		any = true
-		if *simOnly {
-			fmt.Println("churn: skipped (real-hardware measurement only)")
-		} else {
-			churn(*quick, *seed, *jsonPath)
-		}
-	}
-	if run("topo") {
-		any = true
-		topoExp(*quick, *seed, *jsonPath)
-	}
-	if run("secure") {
-		any = true
-		if *simOnly {
-			fmt.Println("secure: skipped (real-hardware measurement only)")
-		} else {
-			secureExp(*quick, *jsonPath)
+		report, res, err := e.run(*quick, *seed)
+		fail(err)
+		fmt.Println(report)
+		if *jsonPath != "" {
+			out, err := experiments.JSON(res)
+			fail(err)
+			fail(os.WriteFile(*jsonPath, []byte(out), 0o644))
 		}
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
-	}
-}
-
-func secureExp(quick bool, jsonPath string) {
-	res, err := experiments.Secure(quick)
-	fail(err)
-	fmt.Println(experiments.SecureReport(res))
-	if jsonPath != "" {
-		out, err := experiments.SecureJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func concurrency(quick bool, jsonPath string) {
-	res, err := experiments.Concurrency(quick)
-	fail(err)
-	fmt.Println(experiments.ConcurrencyReport(res))
-	if jsonPath != "" {
-		out, err := experiments.ConcurrencyJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func faults(quick bool, seed int64, jsonPath string) {
-	res, err := experiments.Faults(quick, seed)
-	fail(err)
-	fmt.Println(experiments.FaultsReport(res))
-	if jsonPath != "" {
-		out, err := experiments.FaultsJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func recovery(quick bool, seed int64, jsonPath string) {
-	res, err := experiments.Recovery(quick, seed)
-	fail(err)
-	fmt.Println(experiments.RecoveryReport(res))
-	if jsonPath != "" {
-		out, err := experiments.RecoveryJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func telemetryExp(quick bool, jsonPath string) {
-	res, err := experiments.Telemetry(quick)
-	fail(err)
-	fmt.Println(experiments.TelemetryReport(res))
-	if jsonPath != "" {
-		out, err := experiments.TelemetryJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func batch(quick bool, jsonPath string) {
-	res, err := experiments.Batch(quick)
-	fail(err)
-	fmt.Println(experiments.BatchReport(res))
-	if jsonPath != "" {
-		out, err := experiments.BatchJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func gso(quick bool, jsonPath string) {
-	res, err := experiments.GSO(quick)
-	fail(err)
-	fmt.Println(experiments.GSOReport(res))
-	if jsonPath != "" {
-		out, err := experiments.GSOJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func fanout(quick bool, jsonPath string) {
-	res, err := experiments.Fanout(quick)
-	fail(err)
-	fmt.Println(experiments.FanoutReport(res))
-	if jsonPath != "" {
-		out, err := experiments.FanoutJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func churn(quick bool, seed int64, jsonPath string) {
-	res, err := experiments.Churn(quick, seed)
-	fail(err)
-	fmt.Println(experiments.ChurnReport(res))
-	if jsonPath != "" {
-		out, err := experiments.ChurnJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
-	}
-}
-
-func topoExp(quick bool, seed int64, jsonPath string) {
-	// Each schedule's interior-edge trace lands next to the baseline
-	// (topo_<schedule>.pcap); without -json the traces are discarded.
-	var pcapFor func(string) io.Writer
-	var opened []*os.File
-	if jsonPath != "" {
-		dir := filepath.Dir(jsonPath)
-		pcapFor = func(scenario string) io.Writer {
-			f, err := os.Create(filepath.Join(dir, "topo_"+scenario+".pcap"))
-			fail(err)
-			opened = append(opened, f)
-			return f
-		}
-	}
-	res, err := experiments.Topo(quick, seed, pcapFor)
-	for _, f := range opened {
-		fail(f.Close())
-	}
-	fail(err)
-	fmt.Println(experiments.TopoReport(res))
-	if jsonPath != "" {
-		out, err := experiments.TopoJSON(res)
-		fail(err)
-		fail(os.WriteFile(jsonPath, []byte(out), 0o644))
 	}
 }
 

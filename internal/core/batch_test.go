@@ -19,13 +19,12 @@ import (
 
 // TestFlushTxBatchesBurst drives a deterministic burst through flushTx
 // and checks it leaves as one SendBatch: sends are backlogged behind a
-// disabled gate, then released with MaxPack 1 so each becomes its own
+// disabled gate, then released with maxPack 1 so each becomes its own
 // wire image, and one Flush drains all of them through the batch path.
 func TestFlushTxBatchesBurst(t *testing.T) {
 	const burst = 8
-	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
-		cfgA.MaxPack = 1 // one wire image per message: the burst is a tx-queue burst, not a packed message
-	})
+	r := newRig(t, netsim.Config{}, nil)
+	r.epA.maxPack = 1 // one wire image per message: the burst is a tx-queue burst, not a packed message
 
 	r.a.mu.Lock()
 	r.a.DisableSend()
@@ -121,10 +120,11 @@ func TestBatchSendErrorSkipsFailedDatagram(t *testing.T) {
 	clk := vclock.NewManual(t0)
 	net := netsim.New(clk, netsim.Config{})
 	ft := &flakyBatchTransport{Transport: net.Endpoint("A"), failAt: failAt}
-	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack, MaxPack: 1})
+	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack})
 	if err != nil {
 		t.Fatal(err)
 	}
+	epA.maxPack = 1
 	defer epA.Close()
 	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: unorderedStack})
 	if err != nil {
@@ -236,10 +236,11 @@ func TestBatchFaultDropEndToEnd(t *testing.T) {
 	net := netsim.New(clk, netsim.Config{})
 	ft := faultinject.New(net.Endpoint("A"), clk, 0,
 		faultinject.Rule{Kind: faultinject.Drop, Direction: faultinject.Send, Nth: dropNth})
-	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack, MaxPack: 1})
+	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack})
 	if err != nil {
 		t.Fatal(err)
 	}
+	epA.maxPack = 1
 	defer epA.Close()
 	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: unorderedStack})
 	if err != nil {

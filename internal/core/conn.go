@@ -207,9 +207,6 @@ type Conn struct {
 	// backlogCond, created on first use, blocks Send when
 	// Config.BlockOnBackpressure is set and the backlog is full.
 	backlogCond *sync.Cond
-
-	// idleCh wakes the optional background drainer (LazyPost+IdleDrain).
-	idleCh chan struct{}
 }
 
 type releaseItem struct {
@@ -322,42 +319,8 @@ func newConn(ep *Endpoint, spec PeerSpec) (*Conn, error) {
 	st.Prime(ctx)
 	c.putCtx(ctx)
 
-	if ep.cfg.LazyPost && ep.cfg.IdleDrain {
-		c.idleCh = make(chan struct{}, 1)
-		go c.idleDrainer()
-	}
 	c.startSupervision()
 	return c, nil
-}
-
-// idleDrainer runs pending post-processing in the background — the
-// paper's "when the application is idle or blocked" (§1). It is woken
-// after operations that leave lazy work queued.
-func (c *Conn) idleDrainer() {
-	for range c.idleCh {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		c.drain(&c.recv)
-		c.drain(&c.send)
-		c.settle()
-		c.mu.Unlock()
-		c.flushTx()
-	}
-}
-
-// wakeIdle nudges the background drainer if one exists and work is
-// pending. Caller holds c.mu.
-func (c *Conn) wakeIdle() {
-	if c.idleCh == nil || (c.recv.pendingLen() == 0 && c.send.pendingLen() == 0) {
-		return
-	}
-	select {
-	case c.idleCh <- struct{}{}:
-	default:
-	}
 }
 
 // ctx builds a phase context around the (possibly nil) message env.
@@ -502,6 +465,10 @@ func (c *Conn) Send(payload []byte) error {
 			c.mu.Unlock()
 			return err
 		}
+		// §3.1 again: whoever woke us (kickBacklog) may have left a
+		// postSend queued and dropped c.mu for a callback before running
+		// it; sending now would stamp a stale predicted sequence number.
+		c.drain(&c.send)
 	}
 	if c.send.disable > 0 {
 		c.stats.Sent++
@@ -512,9 +479,7 @@ func (c *Conn) Send(payload []byte) error {
 	}
 	c.stats.Sent++
 	err := c.sendMsg(message.New(payload), nil)
-	c.boundPending(&c.send)
 	c.settle()
-	c.wakeIdle()
 	c.mu.Unlock()
 	if err != nil && c.terminal != nil {
 		if terr := c.terminal.TerminalErr(); terr != nil {
@@ -555,16 +520,6 @@ func (c *Conn) blockCond() *sync.Cond {
 func (c *Conn) wakeBlocked() {
 	if c.backlogCond != nil {
 		c.backlogCond.Broadcast()
-	}
-}
-
-// boundPending enforces Config.MaxPendingPost: when the lazy queue
-// outgrows its bound the engine degrades to draining inline instead of
-// deferring without limit. Caller holds c.mu.
-func (c *Conn) boundPending(s *sideState) {
-	if c.ep.cfg.LazyPost && s.pendingLen() > c.ep.cfg.maxPendingPost() {
-		c.stats.PostOverflows++
-		c.drain(s)
 	}
 }
 
@@ -650,8 +605,9 @@ func (c *Conn) sendSlow(m *message.Msg, env *filter.Env) error {
 	}
 }
 
-// queuePostSend schedules the send post-processing (§3.1, lazily). The op
-// owns m and env until it runs.
+// queuePostSend schedules the send post-processing (§3.1): it runs in the
+// enclosing settle pass, after the wire image is queued and before the
+// transmit flush. The op owns m and env until it runs.
 func (c *Conn) queuePostSend(m *message.Msg, env *filter.Env) {
 	c.send.pushPost(postOp{kind: postSend, m: m, env: env})
 }
@@ -931,9 +887,7 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 			c.queuePostDeliverBelow(m, env, at, true)
 		}
 	}
-	c.boundPending(&c.recv)
 	c.settle()
-	c.wakeIdle()
 	c.telEnd(telemetry.OpDeliver, t0)
 	c.mu.Unlock()
 	if onRecovered != nil {
@@ -1007,8 +961,8 @@ func (c *Conn) parseWire(m *message.Msg, cid []byte, order bits.ByteOrder) (*fil
 
 // settle processes everything the operation made runnable: application
 // callbacks (without the lock), releases from buffering layers, post-
-// processing (unless LazyPost), and the packed backlog. Caller holds c.mu;
-// settle returns with it held.
+// processing, and the packed backlog. Caller holds c.mu; settle returns
+// with it held.
 func (c *Conn) settle() {
 	if c.settling {
 		return // re-entered via a callback calling Send; outer loop continues
@@ -1043,9 +997,9 @@ func (c *Conn) settle() {
 			} else {
 				c.release(item)
 			}
-		case !c.ep.cfg.LazyPost && c.recv.pendingLen() > 0:
+		case c.recv.pendingLen() > 0:
 			c.runOnePost(&c.recv)
-		case !c.ep.cfg.LazyPost && c.send.pendingLen() > 0:
+		case c.send.pendingLen() > 0:
 			c.runOnePost(&c.send)
 		case c.send.disable == 0 && len(c.send.backlog) > 0:
 			c.kickBacklog()
@@ -1078,10 +1032,6 @@ func (c *Conn) release(item releaseItem) {
 	switch v {
 	case stack.Continue:
 		c.acceptDelivery(item.m, env, sizes, item.from)
-		// A buffering layer can release a long run at once (an
-		// out-of-order gap closing); each release queues a post op, so
-		// this is where the lazy queue can actually grow without bound.
-		c.boundPending(&c.recv)
 	case stack.Consume:
 		c.stats.Consumed++
 		c.putEnv(env)
@@ -1151,8 +1101,7 @@ func (c *Conn) runOnePost(s *sideState) {
 	}
 }
 
-// Flush runs all outstanding post-processing and transmissions. With
-// LazyPost it is the application's "idle" hook.
+// Flush runs all outstanding post-processing and transmissions.
 func (c *Conn) Flush() {
 	c.mu.Lock()
 	c.drain(&c.recv)
@@ -1178,8 +1127,8 @@ func (c *Conn) kickBacklog() {
 		return
 	}
 	n := len(c.send.backlog)
-	if n > c.ep.cfg.maxPack() {
-		n = c.ep.cfg.maxPack()
+	if n > c.ep.maxPack {
+		n = c.ep.maxPack
 	}
 	maxBytes := c.ep.cfg.maxPackBytes()
 	total := 0
@@ -1200,7 +1149,6 @@ func (c *Conn) kickBacklog() {
 	if n == 1 {
 		m := batch[0]
 		_ = c.sendMsg(m, nil)
-		c.boundPending(&c.send)
 		return
 	}
 	c.sizeScratch = c.sizeScratch[:0]
@@ -1215,7 +1163,6 @@ func (c *Conn) kickBacklog() {
 	c.stats.PackedBatches++
 	c.stats.PackedMsgs += uint64(n)
 	_ = c.sendMsg(packed, c.sizeScratch)
-	c.boundPending(&c.send)
 }
 
 // Close tears the connection down: timers stopped, routes removed,
@@ -1229,9 +1176,6 @@ func (c *Conn) Close() error {
 	c.closed = true
 	c.stopSupervision()
 	c.cancelRecoveryLocked()
-	if c.idleCh != nil {
-		close(c.idleCh)
-	}
 	for _, l := range c.st.Layers() {
 		if cl, ok := l.(io.Closer); ok {
 			cl.Close()

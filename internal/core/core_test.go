@@ -593,32 +593,6 @@ func TestPackMixedSizes(t *testing.T) {
 	}
 }
 
-func TestLazyPostFlush(t *testing.T) {
-	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
-		cfgA.LazyPost = true
-	})
-	if err := r.a.Send([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// With LazyPost, the post-send is still pending after the op...
-	st := r.a.Stats()
-	if st.PostRuns != 0 {
-		t.Fatalf("PostRuns = %d before Flush", st.PostRuns)
-	}
-	r.a.Flush()
-	st = r.a.Stats()
-	if st.PostRuns == 0 {
-		t.Fatal("Flush did not run post-processing")
-	}
-	// ...but a second Send drains it first (§3.1) even without Flush.
-	if err := r.a.Send([]byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if r.fromA.count() != 2 {
-		t.Fatalf("delivered %d", r.fromA.count())
-	}
-}
-
 func TestGoldenWireFormat(t *testing.T) {
 	// Regression-pin the Fig. 1 wire format: preamble (8B, cookie+flags),
 	// then the compact class headers, packing byte, payload.
@@ -791,46 +765,6 @@ func TestPackingCodec(t *testing.T) {
 	}
 	if err := checkPackedSizes([]int{3, 4}, 8); err == nil {
 		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestIdleDrainer(t *testing.T) {
-	// LazyPost + IdleDrain: post-processing happens in the background
-	// ("when the application is idle"), without a Flush or another op.
-	net := netsim.New(vclock.Real{}, netsim.Config{})
-	mk := func(addr string) *Endpoint {
-		ep, err := NewEndpoint(Config{
-			Transport: net.Endpoint(addr),
-			LazyPost:  true,
-			IdleDrain: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		return ep
-	}
-	epA, epB := mk("A"), mk("B")
-	sa, sb := specAB()
-	a, err := epA.Dial(sa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := epB.Dial(sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for a.Stats().PostRuns == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background drainer never ran post-processing")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

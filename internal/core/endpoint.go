@@ -139,11 +139,16 @@ type Endpoint struct {
 
 	// Incremental GC state (all but the atomics guarded by routeMu):
 	// (gcShard, gcSlot) is the sweep cursor, gcBudget the per-sweep slot
-	// budget. gcMaxPause is the worst observed sweep wall time in
-	// nanoseconds — the pause bound made visible.
-	gcShard    int
-	gcSlot     int
-	gcBudget   int
+	// budget (gcSweepBudget; a field so tests can shrink it). gcMaxPause
+	// is the worst observed sweep wall time in nanoseconds — the pause
+	// bound made visible.
+	gcShard  int
+	gcSlot   int
+	gcBudget int
+	// maxPack bounds how many backlogged messages one packed message
+	// carries (the maxPack constant; a field so tests can force one wire
+	// image per message). Fixed before the first connection exists.
+	maxPack    int
 	gcSweeps   atomic.Uint64
 	gcScanned  atomic.Uint64
 	gcMaxSweep atomic.Uint64
@@ -261,7 +266,7 @@ type EndpointStats struct {
 
 	// Incremental CookieTTL GC. GCSlotsScanned/GCSweeps is the average
 	// sweep size; GCMaxSweepSlots the largest sweep (bounded by
-	// Config.GCSweepBudget), GCMaxPause the worst sweep wall time.
+	// gcSweepBudget), GCMaxPause the worst sweep wall time.
 	GCSweeps        uint64
 	GCSlotsScanned  uint64
 	GCMaxSweepSlots uint64
@@ -284,7 +289,8 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	ep.mq, _ = cfg.Transport.(MultiQueueTransport)
 	ep.coalescer, _ = cfg.Transport.(Coalescer)
 	ep.maxConns = cfg.maxConns()
-	ep.gcBudget = cfg.gcSweepBudget()
+	ep.gcBudget = gcSweepBudget
+	ep.maxPack = maxPack
 	ep.adm.init(cfg.Admission)
 	// Each shard's table may grow to hold twice its uniform share of
 	// MaxConns cookies — headroom for hash skew and the open-addressed
@@ -309,7 +315,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 
 // armCookieGC schedules the next GC sweep. The full table is covered
 // twice per TTL (eviction bound: idle between TTL and 1.5×TTL), but one
-// *sweep* examines at most Config.GCSweepBudget slots — when the table
+// *sweep* examines at most gcSweepBudget slots — when the table
 // outgrows the budget, the pass is split over proportionally more,
 // proportionally closer sweeps, so the receive path never stalls behind
 // a full-table scan. Caller holds routeMu (or is the constructor).

@@ -276,9 +276,7 @@ func (f *Fanout) Send(payload []byte) error {
 			// member; take the full per-member path (see TemplateStamper).
 			c.stats.Sent++
 			err := c.sendMsg(message.New(payload), nil)
-			c.boundPending(&c.send)
 			c.settle()
-			c.wakeIdle()
 			c.mu.Unlock()
 			c.flushTx()
 			if err != nil {
@@ -313,9 +311,7 @@ func (f *Fanout) Send(payload []byte) error {
 		c.txq = c.txq[:n-1]
 		c.txPending.Add(-1)
 		c.queuePostSend(m, env)
-		c.boundPending(&c.send)
 		c.settle()
-		c.wakeIdle()
 		dst := c.addr
 		c.mu.Unlock()
 

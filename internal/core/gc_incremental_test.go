@@ -17,7 +17,7 @@ import (
 // incremental GC: the old sweep walked every shard's whole table under
 // routeMu, so at large entry counts one timer callback stalled the
 // receive path for the full scan. The incremental sweep must never
-// examine more than Config.GCSweepBudget slots per callback — and must
+// examine more than its slot budget (gcSweepBudget) per callback — and must
 // still evict everything the TTL contract promises.
 func TestCookieGCSweepBudgetBounded(t *testing.T) {
 	const ttl = time.Minute
@@ -27,15 +27,17 @@ func TestCookieGCSweepBudgetBounded(t *testing.T) {
 	clk := newTestClock()
 	net := newTestNet(clk)
 	epS, err := NewEndpoint(Config{
-		Transport:     net.Endpoint("S"),
-		Clock:         clk,
-		CookieTTL:     ttl,
-		GCSweepBudget: budget,
+		Transport: net.Endpoint("S"),
+		Clock:     clk,
+		CookieTTL: ttl,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer epS.Close()
+	epS.routeMu.Lock()
+	epS.gcBudget = budget
+	epS.routeMu.Unlock()
 
 	// Spread the synthetic learned routes over a few anchor connections,
 	// like a real fleet would.
@@ -127,18 +129,20 @@ func TestShutdownMidStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	epS, err := NewEndpoint(Config{
-		Transport:     net.Endpoint("S"),
-		MaxConns:      3,
-		MaxBacklog:    4,
-		CookieTTL:     50 * time.Millisecond,
-		GCSweepBudget: 64,
-		Recovery:      RecoveryConfig{MaxAttempts: 10, BaseDelay: 2 * time.Millisecond, Seed: 1},
-		Accept:        acceptAll,
-		OnConn:        func(c *Conn) { c.OnDeliver(func([]byte) {}) },
+		Transport:  net.Endpoint("S"),
+		MaxConns:   3,
+		MaxBacklog: 4,
+		CookieTTL:  50 * time.Millisecond,
+		Recovery:   RecoveryConfig{MaxAttempts: 10, BaseDelay: 2 * time.Millisecond, Seed: 1},
+		Accept:     acceptAll,
+		OnConn:     func(c *Conn) { c.OnDeliver(func([]byte) {}) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	epS.routeMu.Lock()
+	epS.gcBudget = 64 // "the incremental GC is sweeping": many small sweeps
+	epS.routeMu.Unlock()
 
 	// A connection whose peer is partitioned away: its backlog fills and
 	// cannot drain, and Fail puts recovery redials in flight.

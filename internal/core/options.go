@@ -181,19 +181,6 @@ type Config struct {
 	Accept func(remote layers.IdentInfo, netSrc string) (PeerSpec, bool)
 	// OnConn observes every connection created by Accept.
 	OnConn func(*Conn)
-	// LazyPost defers post-processing past the end of each operation:
-	// pending work runs before the connection's next operation in the
-	// same direction (the §3.1 guarantee), on an explicit Flush, or on
-	// the background drainer. The default (false) drains at the end of
-	// each operation, after transmission and delivery — still off the
-	// critical path, but without unbounded deferral.
-	LazyPost bool
-	// IdleDrain, with LazyPost, starts a background drainer per
-	// connection that runs pending post-processing when the application
-	// is idle — the paper's "executed, as much as possible, when the
-	// application is idle or blocked" (§1). Without it, LazyPost relies
-	// on the next operation or an explicit Flush.
-	IdleDrain bool
 	// MaxBacklog bounds the send backlog; 0 means 1024. A send that
 	// finds the window closed and the backlog at the bound returns
 	// ErrBacklogFull (which wraps ErrBackpressure) — or blocks, with
@@ -203,11 +190,6 @@ type Config struct {
 	// (or the connection closes or fails) instead of returning
 	// ErrBacklogFull.
 	BlockOnBackpressure bool
-	// MaxPendingPost bounds each direction's deferred post-processing
-	// queue under LazyPost; past the bound the engine degrades to
-	// draining inline (counted in ConnStats.PostOverflows) rather than
-	// deferring without limit. 0 means 4096.
-	MaxPendingPost int
 	// PeerTimeout enables dead-peer detection: a connection that hears
 	// nothing from its peer for a full PeerTimeout interval moves to the
 	// Failed state with ErrPeerSilent, surfaced via OnConnFail and the
@@ -237,11 +219,6 @@ type Config struct {
 	// detection. The zero value rejects new connections at MaxConns and
 	// never sheds below capacity. See DESIGN.md §14.
 	Admission AdmissionConfig
-	// GCSweepBudget bounds how many routing-table slots one CookieTTL GC
-	// sweep examines; larger tables are covered by proportionally more
-	// frequent sweeps instead of longer ones, keeping the sweep pause
-	// bounded at any table size. 0 means 4096.
-	GCSweepBudget int
 	// CookieTTL enables garbage collection of learned cookie routes: a
 	// learned binding idle for more than the TTL (at most 1.5×TTL) is
 	// evicted from the router (EndpointStats.CookiesEvicted), bounding
@@ -249,16 +226,13 @@ type Config struct {
 	// identified message, which re-learns the cookie (§2.2). Pre-agreed
 	// cookies (PeerSpec.ExpectInCookie) are never evicted. 0 disables.
 	CookieTTL time.Duration
-	// MaxPack bounds how many messages one packed message may carry;
-	// 0 means 64.
-	MaxPack int
 	// MaxPackBytes bounds a packed message's total payload; it must not
 	// exceed the stack's fragmentation threshold, or the fragmenter
 	// would split the packed message and reassembly would lose the
 	// packing structure. 0 means layers.DefaultFragThreshold.
 	MaxPackBytes int
 	// Telemetry, if non-nil, receives latency histograms for the
-	// critical-path operations (send pre-processing, lazy drains,
+	// critical-path operations (send pre-processing, post-processing,
 	// delivery, batch flushes, recovery probes) and structured
 	// connection events (state transitions, faults, migrations,
 	// resumptions). Nil disables recording; the instrumented paths then
@@ -306,33 +280,23 @@ func (c *Config) maxConns() int {
 	return c.MaxConns
 }
 
-func (c *Config) gcSweepBudget() int {
-	if c.GCSweepBudget <= 0 {
-		return 4096
-	}
-	return c.GCSweepBudget
-}
-
-func (c *Config) maxPendingPost() int {
-	if c.MaxPendingPost <= 0 {
-		return 4096
-	}
-	return c.MaxPendingPost
-}
-
-func (c *Config) maxPack() int {
-	if c.MaxPack <= 0 {
-		return 64
-	}
-	return c.MaxPack
-}
-
 func (c *Config) maxPackBytes() int {
 	if c.MaxPackBytes <= 0 {
 		return layers.DefaultFragThreshold
 	}
 	return c.MaxPackBytes
 }
+
+const (
+	// gcSweepBudget bounds how many routing-table slots one CookieTTL GC
+	// sweep examines; larger tables are covered by proportionally more
+	// frequent sweeps instead of longer ones, keeping the sweep pause
+	// bounded at any table size.
+	gcSweepBudget = 4096
+	// maxPack bounds how many messages one packed message may carry (the
+	// count half of the §3.4 bound; Config.MaxPackBytes is the byte half).
+	maxPack = 64
+)
 
 // telemetrySampleMask resolves TelemetrySampleEvery to a power-of-two
 // sampling mask (count&mask == 0 selects the sampled operations).
@@ -388,11 +352,10 @@ type ConnStats struct {
 	Consumed     uint64 // absorbed by a layer (acks, fragments, keepalives)
 	Dropped      uint64 // filter or layer verdicts
 
-	ConnIDSent    uint64 // messages that carried the identification
-	PostRuns      uint64 // post-processing tasks executed
-	PostOverflows uint64 // lazy post queue hit MaxPendingPost; drained inline
-	ControlMsgs   uint64 // layer-generated messages transmitted
-	Retransmits   uint64 // raw retransmissions
+	ConnIDSent  uint64 // messages that carried the identification
+	PostRuns    uint64 // post-processing tasks executed
+	ControlMsgs uint64 // layer-generated messages transmitted
+	Retransmits uint64 // raw retransmissions
 
 	Recoveries     uint64 // times the connection entered Recovering
 	Recovered      uint64 // recoveries completed (peer heard again)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Message packing (§3.4): when lazy post-processing creates a backlog, the
+// Message packing (§3.4): when a closed window creates a backlog, the
 // PA packs the waiting messages into one message — one pre/post cycle for
 // many application messages — and the receiving PA unpacks them before
 // delivery. Every PA message carries a Packing header (Fig. 1) describing

@@ -1,9 +1,9 @@
 // Package core implements the Protocol Accelerator (PA) itself: the
 // per-connection engine of the paper that masks layering overhead with
 // compact class headers, connection cookies, header prediction, packet
-// filters in both critical paths, lazy post-processing, and message
-// packing. The send and delivery paths follow the paper's Figure 3
-// pseudocode; the per-connection state follows Table 3.
+// filters in both critical paths, post-processing off the critical
+// path, and message packing. The send and delivery paths follow the
+// paper's Figure 3 pseudocode; the per-connection state follows Table 3.
 package core
 
 import (

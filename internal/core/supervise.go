@@ -14,8 +14,8 @@ import (
 // unspecified ("in our experiments no message loss was observed"), so
 // this file adds the minimum a production endpoint needs — a terminal
 // Failed state with a typed cause, dead-peer detection driven by traffic
-// silence, and an endpoint Shutdown that drains the deferred work the
-// lazy post-processing optimisation (§3.1) leaves behind.
+// silence, and an endpoint Shutdown that drains the deferred work
+// (post-processing, the packed backlog, the transmit queue) first.
 
 // Supervision errors. ErrConnFailed wraps every failure cause, so
 // errors.Is(err, ErrConnFailed) matches any failed connection and the
@@ -241,7 +241,7 @@ func (c *Conn) drained() bool {
 // so peers' acknowledgements can still open the window for backlogged
 // messages. Every connection's deferred post-processing, packed backlog,
 // and transmit queue are run to completion, and only then are the
-// connections and the transport closed — the lazy post-processing
+// connections and the transport closed — the post-processing
 // guarantee (§3.1) holds through termination. If ctx expires first the
 // endpoint is closed anyway (without the drain guarantee) and ctx.Err()
 // is returned.

@@ -280,21 +280,26 @@ func (s *shutdownTap) Close() error {
 	return s.Transport.Close()
 }
 
-func TestShutdownDrainsLazyPostBeforeTransportClose(t *testing.T) {
-	clk := vclock.NewManual(t0)
-	net := netsim.New(clk, netsim.Config{})
+func TestShutdownDrainsBeforeTransportClose(t *testing.T) {
+	// Real clock: Shutdown polls in real time for the peer's acks.
+	net := netsim.New(vclock.Real{}, netsim.Config{Latency: 2 * time.Millisecond})
 	tapA := &shutdownTap{Transport: net.Endpoint("A")}
-	epA, err := NewEndpoint(Config{Transport: tapA, Clock: clk, LazyPost: true})
+	epA, err := NewEndpoint(Config{Transport: tapA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fromA := &sink{}
-	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, LazyPost: true})
+	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer epB.Close()
 	sa, sb := specAB()
+	// Pre-agreed cookies: real timers may reorder the in-flight frames,
+	// and a cookie-only frame overtaking the identified first one would
+	// be dropped for good (nobody retransmits after Shutdown).
+	sa.OutCookie, sa.ExpectInCookie, sa.SkipFirstConnID = 111, 222, true
+	sb.OutCookie, sb.ExpectInCookie, sb.SkipFirstConnID = 222, 111, true
 	a, err := epA.Dial(sa)
 	if err != nil {
 		t.Fatal(err)
@@ -305,24 +310,41 @@ func TestShutdownDrainsLazyPostBeforeTransportClose(t *testing.T) {
 	}
 	b.OnDeliver(fromA.add)
 
-	const n = 5
+	// The window closes after 16 unacknowledged messages; the rest wait
+	// in the backlog for acks that are still 4 ms away.
+	const n = 40
 	for i := 0; i < n; i++ {
 		if err := a.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Lazy post-processing: the last send's post op is still pending.
-	if got := func() int { a.mu.Lock(); defer a.mu.Unlock(); return a.send.pendingLen() }(); got == 0 {
-		t.Fatal("expected pending lazy post-processing before Shutdown")
+	if got := func() int { a.mu.Lock(); defer a.mu.Unlock(); return len(a.send.backlog) }(); got == 0 {
+		t.Fatal("expected a backlog behind the closed window before Shutdown")
 	}
-	preRuns := a.Stats().PostRuns
+	pre := a.Stats()
 
 	if err := epA.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The pending op ran (Close alone would discard it) ...
-	if got := a.Stats().PostRuns; got <= preRuns {
-		t.Fatalf("PostRuns = %d, want > %d: Shutdown must drain, not discard", got, preRuns)
+	// The backlog was packed out and post-processed (Close alone would
+	// discard it) ...
+	st := a.Stats()
+	if st.PostRuns <= pre.PostRuns || st.PackedBatches == 0 {
+		t.Fatalf("PostRuns %d -> %d, PackedBatches %d: Shutdown must drain, not discard",
+			pre.PostRuns, st.PostRuns, st.PackedBatches)
+	}
+	// ... everything was handed to the transport before it closed: the
+	// last frames are still in flight and land without any retransmission.
+	for deadline := time.Now().Add(5 * time.Second); fromA.count() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := fromA.count(); got != n {
+		t.Fatalf("peer received %d of %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if fromA.get(i)[0] != byte(i) {
+			t.Fatalf("out of order at %d", i)
+		}
 	}
 	// ... the endpoint is closed, and nothing was transmitted after the
 	// transport closed.
@@ -479,11 +501,11 @@ func TestChksumRefusesCorruptedFrames(t *testing.T) {
 	}
 }
 
-func TestMaxPendingPostDegradesInline(t *testing.T) {
-	// The lazy post queue only grows without bound on a buffered-release
-	// burst: an out-of-order gap closing releases a long run at once,
-	// and each released message queues a post op. Build the gap by
-	// stalling A's first datagram.
+func TestGapCloseReleasesBufferedRun(t *testing.T) {
+	// A buffered-release burst is the one place the post queue holds
+	// more than one op: an out-of-order gap closing releases a long run
+	// at once, and each released message queues a post op. Build the gap
+	// by stalling A's first datagram.
 	clk := vclock.NewManual(t0)
 	net := netsim.New(clk, netsim.Config{})
 	fiA := faultinject.New(net.Endpoint("A"), clk, 0,
@@ -493,10 +515,7 @@ func TestMaxPendingPostDegradesInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer epA.Close()
-	epB, err := NewEndpoint(Config{
-		Transport: net.Endpoint("B"), Clock: clk,
-		LazyPost: true, MaxPendingPost: 2,
-	})
+	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,20 +549,20 @@ func TestMaxPendingPostDegradesInline(t *testing.T) {
 	if fiA.ReleaseStalled() != 1 {
 		t.Fatal("no stalled datagram to release")
 	}
-	// The next operation drains frame 0's pending post, which closes the
-	// gap and releases the whole buffered run; the bound must degrade to
-	// inline drains instead of queueing 8 deferred ops.
+	// Frame 0's post-processing closes the gap and releases the whole
+	// buffered run inside the same delivery.
 	if err := a.Send([]byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fromA.count(); got != 10 {
 		t.Fatalf("delivered %d, want 10", got)
 	}
-	st := b.Stats()
-	if st.PostOverflows == 0 {
-		t.Fatal("expected PostOverflows > 0 with MaxPendingPost=2")
+	for i := 0; i < 10; i++ {
+		if fromA.get(i)[0] != byte(i) {
+			t.Fatalf("out of order at %d", i)
+		}
 	}
-	if got := func() int { b.mu.Lock(); defer b.mu.Unlock(); return b.recv.pendingLen() }(); got > 3 {
-		t.Fatalf("pending post queue = %d, want bounded near 2", got)
+	if got := func() int { b.mu.Lock(); defer b.mu.Unlock(); return b.recv.pendingLen() }(); got != 0 {
+		t.Fatalf("pending post queue = %d after the operation, want 0", got)
 	}
 }

@@ -96,7 +96,7 @@ func TestSupervisionAndGCTimersStoppedOnClose(t *testing.T) {
 }
 
 // settleGoroutines polls until the goroutine count returns to the
-// baseline (readLoops and drainers need a moment to observe the close).
+// baseline (readLoops need a moment to observe the close).
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -120,11 +120,7 @@ func TestNoGoroutineLeakNetsim(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		net := netsim.New(vclock.Real{}, netsim.Config{})
 		mk := func(addr string) *Endpoint {
-			ep, err := NewEndpoint(Config{
-				Transport: net.Endpoint(addr),
-				LazyPost:  true,
-				IdleDrain: true, // one background drainer goroutine per conn
-			})
+			ep, err := NewEndpoint(Config{Transport: net.Endpoint(addr)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +165,7 @@ func TestNoGoroutineLeakUDP(t *testing.T) {
 			trA.Close()
 			t.Skipf("no loopback UDP: %v", err)
 		}
-		epA, err := NewEndpoint(Config{Transport: trA, LazyPost: true, IdleDrain: true})
+		epA, err := NewEndpoint(Config{Transport: trA})
 		if err != nil {
 			t.Fatal(err)
 		}

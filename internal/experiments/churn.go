@@ -27,7 +27,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -706,13 +705,4 @@ func ChurnReport(r *ChurnResult) string {
 			u.Clients, u.Arrived, u.Admitted, u.Shed, u.Accounted)
 	}
 	return b.String()
-}
-
-// ChurnJSON renders the result as the BENCH_7.json artifact.
-func ChurnJSON(r *ChurnResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

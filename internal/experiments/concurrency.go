@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -377,13 +376,4 @@ func ConcurrencyReport(r *ConcurrencyResult) string {
 		r.ShardedRecvNsOp,
 		r.SendNsOp, r.SendAllocsPerOp,
 		r.DeliverNsOp, r.DeliverAllocsPerOp)
-}
-
-// ConcurrencyJSON renders the result as the BENCH_1.json baseline.
-func ConcurrencyJSON(r *ConcurrencyResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

@@ -16,7 +16,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -316,13 +315,4 @@ func FanoutReport(r *FanoutResult) string {
 			row.SpeedupX, row.FanoutAllocsOp, sys, gain)
 	}
 	return b.String()
-}
-
-// FanoutJSON renders the result as the BENCH_9.json artifact.
-func FanoutJSON(r *FanoutResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -325,13 +324,4 @@ func FaultsReport(r *FaultsResult) string {
 			p.Retransmits, p.RecvDrops, p.VirtualMillis, p.RecoveryMillis, status)
 	}
 	return sb.String()
-}
-
-// FaultsJSON renders the result as the BENCH_2.json baseline.
-func FaultsJSON(r *FaultsResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

@@ -21,7 +21,7 @@ func TestFaultsDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := FaultsJSON(r)
+		out, err := JSON(r)
 		if err != nil {
 			t.Fatal(err)
 		}

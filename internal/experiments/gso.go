@@ -15,7 +15,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -270,13 +269,4 @@ func GSOReport(r *GSOResult) string {
 	}
 	fmt.Fprintf(&b, "  steady-state offloaded SendBatch: %.3f allocs/op\n", r.SendBatchAllocsOp)
 	return b.String()
-}
-
-// GSOJSON renders the result as the BENCH_6.json artifact.
-func GSOJSON(r *GSOResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

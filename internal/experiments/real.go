@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -26,6 +27,16 @@ import (
 	"paccel/internal/telemetry"
 	"paccel/internal/vclock"
 )
+
+// JSON renders an experiment result as its committed BENCH_N.json
+// baseline: two-space indent, trailing newline.
+func JSON(result any) (string, error) {
+	out, err := json.MarshalIndent(result, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	return string(out) + "\n", nil
+}
 
 // Pair is a connected PA client/server over an instantaneous in-memory
 // network, used by the real-mode measurements.
@@ -42,7 +53,6 @@ type Conn = core.Conn
 type PairOptions struct {
 	NetConfig netsim.Config
 	Build     core.StackBuilder
-	LazyPost  bool
 
 	// Telemetry, when non-nil, is installed on both endpoints (and on the
 	// network, for fault events). TelemetrySampleEvery is forwarded to
@@ -62,7 +72,6 @@ func NewPair(opt PairOptions) (*Pair, error) {
 		return core.Config{
 			Transport:            net.Endpoint(addr),
 			Build:                opt.Build,
-			LazyPost:             opt.LazyPost,
 			Telemetry:            opt.Telemetry,
 			TelemetrySampleEvery: opt.TelemetrySampleEvery,
 		}

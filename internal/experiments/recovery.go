@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -369,13 +368,4 @@ func RecoveryReport(r *RecoveryResult) string {
 			p.Probes, p.Migrations, p.Replays, p.RecoveryMillis, p.RemoteAddrAfter, status)
 	}
 	return sb.String()
-}
-
-// RecoveryJSON renders the result as the BENCH_3.json baseline.
-func RecoveryJSON(r *RecoveryResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

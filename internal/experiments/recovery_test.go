@@ -11,7 +11,7 @@ func TestRecoveryDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RecoveryJSON(r)
+		out, err := JSON(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -258,13 +257,4 @@ func SecureReport(r *SecureResult) string {
 			row.SecureMsgsPerSec, row.SecureMBPerSec, row.SecureAllocsOp)
 	}
 	return b.String()
-}
-
-// SecureJSON renders the result as the BENCH_10.json artifact.
-func SecureJSON(r *SecureResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

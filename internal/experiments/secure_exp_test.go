@@ -40,7 +40,7 @@ func TestSecureReportShape(t *testing.T) {
 	if !strings.Contains(rep, "AES-GCM") || !strings.Contains(rep, "20.0%") {
 		t.Fatalf("report:\n%s", rep)
 	}
-	out, err := SecureJSON(r)
+	out, err := JSON(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -213,13 +212,4 @@ func TelemetryReport(r *TelemetryResult) string {
 	}
 	fmt.Fprintf(&b, "  events recorded: %d\n", r.EventsTotal)
 	return b.String()
-}
-
-// TelemetryJSON renders the result as the BENCH_5.json baseline.
-func TelemetryJSON(r *TelemetryResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

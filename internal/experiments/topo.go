@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -452,13 +451,4 @@ func TopoReport(r *TopoResult) string {
 		}
 	}
 	return sb.String()
-}
-
-// TopoJSON renders the result as the BENCH_8.json baseline.
-func TopoJSON(r *TopoResult) (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

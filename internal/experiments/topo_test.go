@@ -24,7 +24,7 @@ func TestTopoDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := TopoJSON(r)
+		out, err := JSON(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -374,42 +374,143 @@ func TestQuickCompactNoOverlap(t *testing.T) {
 	}
 }
 
-// Property: compact layout never uses more bytes than the layered baseline.
-func TestQuickCompactNeverLarger(t *testing.T) {
-	type spec struct {
-		Class, Size, Layer uint8
-	}
-	f := func(specs []spec) bool {
-		if len(specs) == 0 {
-			return true
+// layoutSpec is one free-offset field of a generated schema.
+type layoutSpec struct {
+	Class, Size, Layer uint8
+}
+
+func (sp layoutSpec) class() Class  { return Class(sp.Class % NumClasses) }
+func (sp layoutSpec) bits() int     { return int(sp.Size%64) + 1 }
+func (sp layoutSpec) layer() string { return string(rune('a' + sp.Layer%6)) }
+
+// compileBoth lays the same fields out compactly and layered and returns
+// both total sizes in bytes (the compact one including ConnID, which the
+// layered format carries inline).
+func compileBoth(t *testing.T, specs []layoutSpec) (compact, layered int) {
+	t.Helper()
+	build := func() *Schema {
+		s := New()
+		for _, sp := range specs {
+			if _, err := s.AddField(sp.class(), sp.layer(), "f", sp.bits(), DontCare); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return s
+	}
+	pa, base := build(), build()
+	if err := pa.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.CompileLayered(); err != nil {
+		t.Fatal(err)
+	}
+	return pa.TotalSize() + pa.Size(ConnID), base.TotalSize()
+}
+
+// compactSlackBytes is how many bytes the compact layout of free-offset
+// fields may exceed the layered one by. "Compact is never larger" is not a
+// theorem (the table in TestQuickCompactNeverLarger has counterexamples);
+// this additive bound is.
+//
+// Layered: every field starts on a byte boundary (the baseline never
+// bit-packs), so it occupies at least its size rounded up to a byte:
+//
+//	layered >= Σ_f ceil(size_f / 8).
+//
+// Compact, per class c: the header ends at bit S_c + W_c, where S_c is
+// the sum of the class's field sizes and W_c the free bits left below the
+// end. Only placing an aligned field at the tail leaves free bits behind,
+// fewer than its alignment; a field that first-fits into an earlier gap
+// only uses some up. Equal sizes are adjacent in the decreasing order and
+// leave the tail aligned for each other, and the largest size of a class
+// starts at bit 0, so each distinct aligned size below the class maximum
+// wastes at most once:
+//
+//	W_c <= Σ_{distinct aligned sizes s < max_c} (align(s) - 1)
+//	compact_c = ceil((S_c + W_c) / 8) <= Σ_{f in c} ceil(size_f / 8) + ceil(W_c / 8).
+//
+// Summing over classes: compact <= layered + Σ_c ceil(W_c / 8). Without
+// an aligned field below a larger one the slack is zero and the old
+// property holds.
+func compactSlackBytes(specs []layoutSpec) int {
+	slack := 0
+	for c := Class(0); c < NumClasses; c++ {
+		maxBits, aligned := 0, map[int]int{}
+		for _, sp := range specs {
+			if sp.class() != c {
+				continue
+			}
+			n := sp.bits()
+			if n > maxBits {
+				maxBits = n
+			}
+			if a := alignment(&Field{SizeBits: n}); a > 1 {
+				aligned[n] = a
+			}
+		}
+		waste := 0
+		for n, a := range aligned {
+			if n < maxBits {
+				waste += a - 1
+			}
+		}
+		slack += (waste + 7) / 8
+	}
+	return slack
+}
+
+// Property: the compact layout exceeds the layered baseline by no more
+// than alignment slack accounts for (compactSlackBytes).
+func TestQuickCompactNeverLarger(t *testing.T) {
+	// Inputs quick.Check found against the old property "compact <=
+	// layered" (about 2 % of runs drew one), as (class, size, layer).
+	// The mechanism is the same in all: first-fit-decreasing places a
+	// larger unaligned field before a naturally aligned 32-bit one, which
+	// skips to bit 64 (36 + 32 end at 96 bits where 32 + 36 would end at
+	// 68), while the layered format gives the 32-bit field an aligned
+	// start in its own block; a small field in a class of its own then
+	// costs a byte that the layered block padding would have absorbed.
+	// Placement order is pinned by the golden wire format, so the
+	// property is restated, not the layout changed.
+	for _, tc := range []struct {
+		name             string
+		specs            []layoutSpec
+		compact, layered int
+	}{
+		{"36 before 32", []layoutSpec{{1, 62, 4}, {0, 35, 4}, {2, 51, 0}, {1, 9, 4}, {0, 31, 5}}, 29, 28},
+		{"49 before 32, 2 bits alone in a class", []layoutSpec{{2, 48, 0}, {3, 1, 0}, {2, 31, 2}}, 13, 12},
+		{"39 before 32, two bytes", []layoutSpec{{3, 42, 3}, {2, 31, 4}, {2, 38, 3}}, 18, 16},
+		{"48 before 32 before 19", []layoutSpec{{0, 31, 3}, {3, 56, 2}, {2, 49, 5}, {0, 18, 5}, {0, 47, 5}}, 30, 28},
+		{"40 before 32", []layoutSpec{{0, 41, 1}, {2, 61, 2}, {0, 55, 5}, {3, 31, 3}, {3, 39, 1}}, 33, 32},
+		{"40 before 32, four classes", []layoutSpec{{0, 19, 5}, {2, 31, 5}, {1, 31, 1}, {1, 39, 5}, {0, 28, 1}, {3, 42, 5}}, 29, 28},
+		{"57 and 50 before 32 before 24", []layoutSpec{{2, 31, 0}, {2, 56, 3}, {1, 15, 2}, {2, 23, 2}, {2, 49, 2}}, 25, 24},
+		{"seven fields", []layoutSpec{{0, 60, 3}, {3, 49, 4}, {0, 28, 3}, {1, 28, 3}, {2, 10, 1}, {1, 39, 4}, {1, 31, 5}}, 37, 36},
+		{"ten fields", []layoutSpec{{3, 31, 0}, {0, 17, 1}, {2, 57, 4}, {2, 31, 1}, {0, 32, 1}, {2, 19, 0}, {2, 39, 0}, {3, 22, 1}, {3, 47, 1}, {2, 40, 1}}, 49, 48},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compact, layered := compileBoth(t, tc.specs)
+			if compact != tc.compact || layered != tc.layered {
+				t.Fatalf("compact %d, layered %d bytes; want %d, %d", compact, layered, tc.compact, tc.layered)
+			}
+			if slack := compactSlackBytes(tc.specs); compact > layered+slack {
+				t.Fatalf("compact %d bytes > layered %d + %d bytes of slack", compact, layered, slack)
+			}
+		})
+	}
+
+	f := func(specs []layoutSpec) bool {
 		if len(specs) > 20 {
 			specs = specs[:20]
 		}
-		build := func() *Schema {
-			s := New()
-			for _, sp := range specs {
-				layer := string(rune('a' + sp.Layer%6))
-				if _, err := s.AddField(Class(sp.Class%NumClasses), layer, "f", int(sp.Size%64)+1, DontCare); err != nil {
-					return nil
-				}
-			}
-			return s
+		if len(specs) == 0 {
+			return true
 		}
-		pa, base := build(), build()
-		if pa == nil || base == nil {
-			return false
-		}
-		if err := pa.Compile(); err != nil {
-			return false
-		}
-		if err := base.CompileLayered(); err != nil {
-			return false
-		}
-		paTotal := pa.TotalSize() + pa.Size(ConnID)
-		return paTotal <= base.TotalSize()
+		compact, layered := compileBoth(t, specs)
+		return compact <= layered+compactSlackBytes(specs)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	// A fixed seed: tier-1 must not depend on which inputs a run draws.
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1996))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
