@@ -73,6 +73,7 @@ func TestAllocBudget(t *testing.T) {
 			t.Run("send-unbatched", func(t *testing.T) { allocSend(t, tc.rec, true) })
 			t.Run("deliver", func(t *testing.T) { allocDeliver(t, tc.rec) })
 			t.Run("default-stack", func(t *testing.T) { allocDefaultStack(t, tc.rec) })
+			t.Run("dial", func(t *testing.T) { allocDial(t, tc.rec) })
 			t.Run("shed", func(t *testing.T) { allocShed(t, tc.rec) })
 			t.Run("fanout", func(t *testing.T) { allocFanout(t, tc.rec) })
 			t.Run("secure-send", func(t *testing.T) { allocSecureSend(t, tc.rec) })
@@ -184,6 +185,36 @@ func allocDefaultStack(t *testing.T, rec *telemetry.Recorder) {
 	}
 	if st := a.Stats(); st.SlowSends > 1 || st.SlowDelivers > 1 {
 		t.Fatalf("default stack left the fast path: %+v", st)
+	}
+}
+
+// allocDial holds a Dial and Close of the default stack to what a
+// connection owns — its layers, its Conn, one prediction block, its two
+// routes; the schema and the filter programs come from the endpoint's
+// plan (compiling them per dial is 112 allocations).
+func allocDial(t *testing.T, rec *telemetry.Recorder) {
+	t.Helper()
+	net := netsim.New(vclock.Real{}, netsim.Config{})
+	ep, err := NewEndpoint(Config{Transport: net.Endpoint("A"), Telemetry: rec, TelemetrySampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	spec, _ := specAB()
+	var dialErr error
+	allocs := testing.AllocsPerRun(500, func() {
+		c, err := ep.Dial(spec)
+		if err != nil {
+			dialErr = err
+			return
+		}
+		c.Close()
+	})
+	if dialErr != nil {
+		t.Fatal(dialErr)
+	}
+	if allocs > 25 {
+		t.Fatalf("dial+close: %.0f allocs, want <= 25", allocs)
 	}
 }
 

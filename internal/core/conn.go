@@ -142,6 +142,14 @@ type Conn struct {
 	outCookie  uint64
 	needConnID bool // next outgoing message carries the identification
 
+	// identKeys are the identifications routed to this connection in the
+	// endpoint's byIdent table, so that closing it deletes exactly those:
+	// the one the peer will send in either byte order (Dial) and, for an
+	// accepted connection whose spec did not match the identification
+	// that created it, that identification (lookupIdent). Guarded by
+	// ep.identMu.
+	identKeys [3]string
+
 	// inCookies are the incoming cookies routed to this connection in
 	// the endpoint's sharded router; guarded by ep.routeMu, not c.mu.
 	inCookies []uint64
@@ -230,17 +238,15 @@ type terminalLayer interface {
 	TerminalErr() error
 }
 
-// newConn wires up a connection: builds the stack, compiles the schema and
-// filters, allocates prediction buffers, and primes the layers.
+// newConn wires up a connection: builds the stack, initializes it against
+// the endpoint's stack plan (plan.go), carves the prediction buffers out of
+// one block sized from the plan, and primes the layers.
 func newConn(ep *Endpoint, spec PeerSpec) (*Conn, error) {
-	ls, err := ep.cfg.build()(spec, ep.cfg.Order)
+	p, st, err := ep.stackFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	st, err := stack.NewStack(ls...)
-	if err != nil {
-		return nil, err
-	}
+	ls := st.Layers()
 	c := &Conn{ep: ep, spec: spec, addr: spec.Addr, st: st, order: ep.cfg.Order}
 	seq := ep.connSeq.Add(1)
 	c.tel = ep.cfg.Telemetry
@@ -268,29 +274,23 @@ func newConn(ep *Endpoint, spec PeerSpec) (*Conn, error) {
 		c.recoverRng = newRecoveryRng(ep, seq)
 	}
 
-	c.schema = header.New()
-	sb, rb := filter.NewBuilder(), filter.NewBuilder()
-	if err := st.Init(&stack.InitContext{Schema: c.schema, SendFilter: sb, RecvFilter: rb}); err != nil {
-		return nil, err
-	}
-	if err := c.schema.Compile(); err != nil {
-		return nil, err
-	}
-	if c.send.prog, err = sb.Build(); err != nil {
-		return nil, fmt.Errorf("core: send filter: %w", err)
-	}
-	if c.recv.prog, err = rb.Build(); err != nil {
-		return nil, fmt.Errorf("core: recv filter: %w", err)
-	}
-	c.usesTime = c.send.prog.UsesTime() || c.recv.prog.UsesTime()
-	c.protoN = c.schema.Size(header.ProtoSpec)
-	c.msgN = c.schema.Size(header.MsgSpec)
-	c.gosN = c.schema.Size(header.Gossip)
-	c.cidN = c.schema.Size(header.ConnID)
+	c.schema = p.schema
+	c.send.prog, c.recv.prog = p.send, p.recv
+	c.usesTime = p.usesTime
+	c.protoN = p.size[header.ProtoSpec]
+	c.msgN = p.size[header.MsgSpec]
+	c.gosN = p.size[header.Gossip]
+	c.cidN = p.size[header.ConnID]
 
-	for cl := header.Class(0); cl < header.NumClasses; cl++ {
-		c.send.predict[cl] = make([]byte, c.schema.Size(cl))
-		c.recv.predict[cl] = make([]byte, c.schema.Size(cl))
+	n := 0
+	for _, sz := range p.size {
+		n += sz
+	}
+	block := make([]byte, 2*n)
+	for cl, sz := range p.size {
+		// Capacity-limited, so an append can never run into a neighbour.
+		c.send.predict[cl], block = block[:sz:sz], block[sz:]
+		c.recv.predict[cl], block = block[:sz:sz], block[sz:]
 	}
 
 	c.outCookie = spec.OutCookie

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"paccel/internal/bits"
-	"paccel/internal/filter"
 	"paccel/internal/header"
 	"paccel/internal/message"
-	"paccel/internal/stack"
 	"paccel/internal/telemetry"
 	"paccel/internal/vclock"
 )
@@ -103,8 +101,15 @@ type Endpoint struct {
 
 	shards [cookieShardCount]cookieShard
 
+	// plan is the compiled shape of this endpoint's stack (plan.go),
+	// shared by every connection of that shape. It is never nil after
+	// NewEndpoint; a dial that finds its stack has another shape stores
+	// the plan it compiled instead.
+	plan atomic.Pointer[plan]
+
 	// template parses identifications of unknown connections; identSize
 	// is the uniform ConnID header size of this endpoint's stack shape.
+	// Both come from the first plan's stack and never change.
 	template  Identifier
 	identSize int
 
@@ -425,32 +430,17 @@ func dropConnCookie(c *Conn, cookie uint64) {
 	}
 }
 
-// initTemplate builds a throwaway stack to learn the endpoint's uniform
-// ConnID layout, needed to slice identifications off incoming datagrams
+// initTemplate compiles the endpoint's first stack plan — so the first
+// dial already replays — and keeps that stack's identification layer as
+// the template that parses identifications of unknown connections, with
+// the uniform ConnID size needed to slice them off incoming datagrams
 // before any connection is known.
 func (ep *Endpoint) initTemplate() error {
-	ls, err := ep.cfg.build()(PeerSpec{}, ep.cfg.Order)
+	p, st, err := ep.compilePlan(PeerSpec{})
 	if err != nil {
 		return err
 	}
-	st, err := stack.NewStack(ls...)
-	if err != nil {
-		return err
-	}
-	schema := header.New()
-	// Init also programs filters; give it builders that are thrown away.
-	ic := &stack.InitContext{
-		Schema:     schema,
-		SendFilter: filter.NewBuilder(),
-		RecvFilter: filter.NewBuilder(),
-	}
-	if err := st.Init(ic); err != nil {
-		return err
-	}
-	if err := schema.Compile(); err != nil {
-		return err
-	}
-	for _, l := range ls {
+	for _, l := range st.Layers() {
 		if id, ok := l.(Identifier); ok {
 			ep.template = id
 		}
@@ -458,7 +448,8 @@ func (ep *Endpoint) initTemplate() error {
 	if ep.template == nil {
 		return errors.New("core: stack has no identification layer")
 	}
-	ep.identSize = schema.Size(header.ConnID)
+	ep.identSize = p.size[header.ConnID]
+	ep.plan.Store(p)
 	return nil
 }
 
@@ -653,9 +644,10 @@ func (ep *Endpoint) Dial(spec PeerSpec) (*Conn, error) {
 	// Route by the identification the peer will send, in either byte
 	// order — the preamble's order bit is not known in advance.
 	ep.identMu.Lock()
-	for _, o := range []bits.ByteOrder{bits.BigEndian, bits.LittleEndian} {
+	for i, o := range [...]bits.ByteOrder{bits.BigEndian, bits.LittleEndian} {
 		key := string(c.ident.ExpectedIncoming(ep.identSize, o))
 		ep.byIdent[key] = c
+		c.identKeys[i] = key
 	}
 	ep.identMu.Unlock()
 	ep.routeMu.Unlock()
@@ -672,9 +664,11 @@ func (ep *Endpoint) removeConn(c *Conn) {
 		delete(ep.conns, c)
 		ep.connCount.Add(-1)
 	}
+	// Only where the key still routes to c: a re-dial of the same
+	// identification has taken it over.
 	ep.identMu.Lock()
-	for k, v := range ep.byIdent {
-		if v == c {
+	for _, k := range c.identKeys {
+		if k != "" && ep.byIdent[k] == c {
 			delete(ep.byIdent, k)
 		}
 	}
@@ -839,7 +833,9 @@ func (ep *Endpoint) lookupIdent(cid []byte, pre Preamble, src string) *Conn {
 		// Accept hook returned a mismatched spec; route explicitly so
 		// the message is not lost, but flag it.
 		ep.identMu.Lock()
-		ep.byIdent[string(cid)] = nc
+		key := string(cid)
+		ep.byIdent[key] = nc
+		nc.identKeys[2] = key // slots 0 and 1 are Dial's
 		ep.identMu.Unlock()
 		c = nc
 	}

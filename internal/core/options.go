@@ -135,6 +135,18 @@ type PeerSpec struct {
 // StackBuilder constructs the protocol stack for a new connection, top
 // layer first. The stack must contain an identification layer (one whose
 // layer implements Identifier, normally *layers.Ident) for routing.
+//
+// The endpoint compiles the shape of the stack — header layout and filter
+// programs — once (plan.go) and initializes every later connection's
+// layers against that plan: their Init runs as always, but is checked
+// against what was compiled instead of compiled again. Two consequences
+// for implementers. A builder may run more than once for one dial: when
+// the layers it returned turn out not to follow the plan they are
+// discarded and it is called again for the set that is compiled, so it
+// must do nothing but construct layers. And a layer's Init must be a
+// function of the layer's configuration: the same fields, in the same
+// order, and the same filter instructions every time, or no two
+// connections share a plan.
 type StackBuilder func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error)
 
 // Identifier is implemented by the stack's connection-identification
@@ -171,8 +183,12 @@ type Config struct {
 	// Order is this host's native byte order for header fields.
 	Order bits.ByteOrder
 	// Build constructs each connection's stack; nil means DefaultStack.
-	// All connections of one endpoint must produce the same stack
-	// shape (same layers in the same order), a routing requirement.
+	// All connections of one endpoint must identify themselves the same
+	// way (the same connection-identification fields), a routing
+	// requirement, and should have one shape altogether: the compiled
+	// plan is shared while the shape stays the same and compiled again,
+	// at the dial's expense, each time it changes. Build may run more
+	// than once for one dial (see StackBuilder).
 	Build StackBuilder
 	// Accept, if non-nil, is consulted when an identified message
 	// arrives for an unknown connection: return the spec for a new

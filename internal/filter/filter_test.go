@@ -232,29 +232,84 @@ func TestMaxStackComputation(t *testing.T) {
 	}
 }
 
-func TestSetConst(t *testing.T) {
+// A verifying builder hands back the very program it verifies when a
+// stack emits that program's stream again, and fails Build on anything
+// else — the engine then compiles a program of its own.
+func TestVerifier(t *testing.T) {
+	_, length, sum, _ := testSchema(t)
+	// emit is the chksum layer's receive filter with every kind of operand
+	// a layer can vary: op, digest id, constant, abort status, field.
+	type operands struct {
+		cmp    Op
+		dig    DigestID
+		limit  int64
+		status int64
+		field  header.Handle
+		short  bool
+		extra  bool
+	}
+	base := operands{cmp: Ne, dig: DigestInternet, limit: 1024, status: StatusDrop, field: length}
+	var constIdx int
+	emit := func(b *Builder, o operands) {
+		b.PushField(o.field)
+		b.PushSize()
+		b.Arith(o.cmp)
+		b.Abort(o.status)
+		b.PushSize()
+		if b.Len() != 5 {
+			t.Errorf("Len() = %d after five emits", b.Len())
+		}
+		constIdx = b.PushConst(o.limit)
+		b.Arith(Gt)
+		b.Abort(StatusSlow)
+		b.PushField(sum)
+		b.Digest(o.dig)
+		b.Arith(Ne)
+		if !o.short {
+			b.Abort(StatusDrop)
+		}
+		if o.extra {
+			b.PushSize()
+			b.PopField(length)
+		}
+	}
 	b := NewBuilder()
-	idx := b.PushConst(10)
-	b.PushSize()
-	b.Arith(Lt) // const < size ?
-	b.Abort(StatusSlow)
-	p := b.MustBuild()
-	env := &Env{Payload: make([]byte, 20)}
-	if got := p.Run(env); got != StatusSlow {
-		t.Fatalf("pre-patch = %d", got)
+	emit(b, base)
+	prog := b.MustBuild()
+	wantIdx := constIdx
+
+	alt := RegisterDigest("verifier-test", func(p []byte) uint64 { return 1 })
+	cases := []struct {
+		name string
+		mod  func(*operands)
+		ok   bool
+	}{
+		{"identical", func(o *operands) {}, true},
+		{"op", func(o *operands) { o.cmp = Eq }, false},
+		{"digest id", func(o *operands) { o.dig = alt }, false},
+		{"PushConst argument", func(o *operands) { o.limit = 1025 }, false},
+		{"Abort argument", func(o *operands) { o.status = StatusSlow }, false},
+		{"field handle", func(o *operands) { o.field = sum }, false},
+		{"short stream", func(o *operands) { o.short = true }, false},
+		{"long stream", func(o *operands) { o.extra = true }, false},
 	}
-	// Post-processing rewrites the window limit (paper §3.3).
-	if err := p.SetConst(idx, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Run(env); got != StatusOK {
-		t.Fatalf("post-patch = %d", got)
-	}
-	if err := p.SetConst(1, 5); err == nil {
-		t.Fatal("SetConst on non-const accepted")
-	}
-	if err := p.SetConst(99, 5); err == nil {
-		t.Fatal("SetConst out of range accepted")
+	for _, tc := range cases {
+		o := base
+		tc.mod(&o)
+		v := prog.Verifier()
+		emit(v, o)
+		if constIdx != wantIdx {
+			t.Errorf("%s: PushConst returned index %d, the building run %d", tc.name, constIdx, wantIdx)
+		}
+		got, err := v.Build()
+		switch {
+		case tc.ok && (err != nil || got != prog):
+			t.Errorf("%s: Build = %p, %v; want the verified program %p", tc.name, got, err, prog)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: a differing stream verified", tc.name)
+		case !tc.ok && got != nil:
+			t.Errorf("%s: Build returned a program with error %v", tc.name, err)
+		}
 	}
 }
 

@@ -32,11 +32,10 @@ func (in Instr) String() string {
 	return in.Op.String()
 }
 
-// Program is a validated, immutable-length packet filter program.
-// Instruction arguments may be patched at run time (the paper: "part of
-// the packet filter program may be rewritten when the protocol state is
-// updated in the post-processing phase"), but the instruction sequence —
-// and therefore the validation result — is fixed.
+// Program is a validated packet filter program. It is immutable after
+// Build — nothing in the package writes to one — so a single Program may
+// be shared by any number of connections and run concurrently, each run
+// with its own Env.
 type Program struct {
 	ins      []Instr
 	maxStack int
@@ -50,20 +49,6 @@ func (p *Program) MaxStack() int { return p.maxStack }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.ins) }
-
-// SetConst patches the argument of the PushConst instruction at index i.
-// It is the run-time rewriting hook for state-dependent message-specific
-// information. It returns an error if instruction i is not a PushConst.
-func (p *Program) SetConst(i int, v int64) error {
-	if i < 0 || i >= len(p.ins) {
-		return fmt.Errorf("filter: SetConst index %d out of range", i)
-	}
-	if p.ins[i].Op != PushConst {
-		return fmt.Errorf("filter: SetConst on %s instruction", p.ins[i].Op)
-	}
-	p.ins[i].Arg = v
-	return nil
-}
 
 // UsesTime reports whether the program contains a PushTime instruction.
 // The engine uses it to skip the per-message clock read when nothing in
@@ -94,25 +79,64 @@ func (p *Program) Disassemble() string {
 type Builder struct {
 	ins []Instr
 	err error
+
+	// A verifying builder (Verifier) keeps no instructions: it counts the
+	// emits in n and compares each with want's instruction at that index.
+	want *Program
+	n    int
 }
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
 
+// Verifier returns a verifying builder for p: every emit is compared — op,
+// digest id, argument, field handle — with p's instruction at the same
+// index instead of being stored, and Build returns p itself if the emitted
+// stream was p's, instruction for instruction, and an error otherwise. A
+// stack whose layers emit the program an earlier stack of the same shape
+// compiled thereby shares that program instead of building its own.
+func (p *Program) Verifier() *Builder { return &Builder{want: p} }
+
 // Err returns the first error recorded by an emit call.
 func (b *Builder) Err() error { return b.err }
 
 // Len returns the number of instructions emitted so far; layers use it to
-// remember patchable instruction indices.
-func (b *Builder) Len() int { return len(b.ins) }
+// remember instruction indices.
+func (b *Builder) Len() int {
+	if b.want != nil {
+		return b.n
+	}
+	return len(b.ins)
+}
 
 func (b *Builder) emit(in Instr) int {
+	if b.want != nil {
+		return b.verify(in)
+	}
 	b.ins = append(b.ins, in)
 	return len(b.ins) - 1
 }
 
-// PushConst emits a push of constant v and returns the instruction index
-// (for later SetConst patching).
+// verify compares one emit with the verified program's next instruction.
+func (b *Builder) verify(in Instr) int {
+	i := b.n
+	b.n++
+	if b.err != nil {
+		return i
+	}
+	if i >= len(b.want.ins) {
+		b.err = fmt.Errorf("filter: verify: instruction %d (%s) is past the end of the program (%d instructions)",
+			i, in, len(b.want.ins))
+		return i
+	}
+	// Only the four emitted fields: the bound digest function is Build's.
+	if w := &b.want.ins[i]; in.Op != w.Op || in.Dig != w.Dig || in.Arg != w.Arg || in.Field != w.Field {
+		b.err = fmt.Errorf("filter: verify: instruction %d is %q, program has %q", i, in, *w)
+	}
+	return i
+}
+
+// PushConst emits a push of constant v and returns the instruction index.
 func (b *Builder) PushConst(v int64) int { return b.emit(Instr{Op: PushConst, Arg: v}) }
 
 // PushField emits a push of field h.
@@ -189,6 +213,12 @@ func (b *Builder) fail(msg string) {
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
+	}
+	if b.want != nil {
+		if b.n != len(b.want.ins) {
+			return nil, fmt.Errorf("filter: verify: %d instructions emitted, program has %d", b.n, len(b.want.ins))
+		}
+		return b.want, nil
 	}
 	ins := append([]Instr(nil), b.ins...)
 	depth, maxDepth := 0, 0

@@ -158,7 +158,8 @@ const (
 )
 
 // Schema collects the header fields registered by a protocol stack's
-// layers and compiles them into a header layout.
+// layers and compiles them into a header layout. A compiled schema is
+// immutable and may be shared by any number of connections.
 type Schema struct {
 	fields  []*Field
 	mode    Mode
@@ -166,6 +167,13 @@ type Schema struct {
 	total   int             // layered: bytes of the single header
 	layers  []string        // registration order of layers (layered mode blocks)
 	blkSize map[string]int  // layered: bytes per layer block
+
+	// Replay view state (see Replay): the compiled schema being replayed,
+	// how many of its fields have been registered again, and the first
+	// registration that differed.
+	of     *Schema
+	next   int
+	differ error
 }
 
 // New returns an empty schema.
@@ -175,6 +183,9 @@ func New() *Schema { return &Schema{blkSize: make(map[string]int)} }
 // layer. offsetBits fixes the field's bit offset in its compiled class
 // header, or DontCare. It returns a handle for later access.
 func (s *Schema) AddField(class Class, layer, name string, sizeBits, offsetBits int) (Handle, error) {
+	if s.of != nil {
+		return s.replay(Field{Class: class, Layer: layer, Name: name, SizeBits: sizeBits, WantOffset: offsetBits})
+	}
 	if s.mode != Uncompiled {
 		return Handle{}, fmt.Errorf("header: AddField(%s/%s) after compilation", layer, name)
 	}
@@ -201,6 +212,9 @@ func (s *Schema) AddField(class Class, layer, name string, sizeBits, offsetBits 
 // a key). Blob fields are always byte-aligned and accessed via
 // Handle.Bytes.
 func (s *Schema) AddBytes(class Class, layer, name string, sizeBytes int) (Handle, error) {
+	if s.of != nil {
+		return s.replay(Field{Class: class, Layer: layer, Name: name, SizeBits: sizeBytes * 8, WantOffset: DontCare, Blob: true})
+	}
 	if s.mode != Uncompiled {
 		return Handle{}, fmt.Errorf("header: AddBytes(%s/%s) after compilation", layer, name)
 	}
@@ -218,6 +232,61 @@ func (s *Schema) AddBytes(class Class, layer, name string, sizeBytes int) (Handl
 	s.fields = append(s.fields, f)
 	s.noteLayer(layer)
 	return Handle{f}, nil
+}
+
+// Replay returns a replay view of the compiled schema s: a registration
+// surface for a stack that is expected to have the shape s was compiled
+// from. AddField and AddBytes on the view register nothing; each checks
+// its arguments — class, layer, name, size, requested offset, blob-ness —
+// against the next field of s in registration order and returns that
+// field's handle, so the layers of every connection of one shape hold
+// handles into the one shared schema. The first registration that differs
+// fails, and so does every later one; Replayed reports whether the whole
+// of s, no more and no less, was registered again. A view cannot be
+// compiled and has no layout of its own.
+func (s *Schema) Replay() *Schema {
+	if s.mode == Uncompiled {
+		panic("header: Replay of an uncompiled schema")
+	}
+	return &Schema{of: s}
+}
+
+// replay matches one registration on a replay view against the next
+// compiled field.
+func (s *Schema) replay(got Field) (Handle, error) {
+	if s.differ != nil {
+		return Handle{}, s.differ
+	}
+	if s.next == len(s.of.fields) {
+		s.differ = fmt.Errorf("header: replay: field %s/%s is not in the compiled schema (%d fields)",
+			got.Layer, got.Name, len(s.of.fields))
+		return Handle{}, s.differ
+	}
+	want := s.of.fields[s.next]
+	got.seq, got.offset = want.seq, want.offset
+	if got != *want {
+		s.differ = fmt.Errorf("header: replay: field %d is %s/%s (%s, %d bits, offset %d, blob %t), compiled as %s/%s (%s, %d bits, offset %d, blob %t)",
+			s.next, got.Layer, got.Name, got.Class, got.SizeBits, got.WantOffset, got.Blob,
+			want.Layer, want.Name, want.Class, want.SizeBits, want.WantOffset, want.Blob)
+		return Handle{}, s.differ
+	}
+	s.next++
+	return Handle{want}, nil
+}
+
+// Replayed reports whether the registrations made on a replay view
+// reproduced the compiled schema exactly: nil if they did, otherwise the
+// first difference (including fields of the compiled schema that were
+// never registered).
+func (s *Schema) Replayed() error {
+	if s.of == nil {
+		return fmt.Errorf("header: Replayed on a schema that is not a replay view")
+	}
+	if s.differ == nil && s.next < len(s.of.fields) {
+		f := s.of.fields[s.next]
+		return fmt.Errorf("header: replay: compiled field %d (%s/%s) was not registered", s.next, f.Layer, f.Name)
+	}
+	return s.differ
 }
 
 func (s *Schema) noteLayer(layer string) {
@@ -286,6 +355,9 @@ func alignment(f *Field) int {
 // natural alignment but ignoring layer boundaries. Each class header is
 // rounded up to a whole byte.
 func (s *Schema) Compile() error {
+	if s.of != nil {
+		return fmt.Errorf("header: Compile on a replay view")
+	}
 	if s.mode != Uncompiled {
 		return fmt.Errorf("header: Compile called twice")
 	}
@@ -357,6 +429,9 @@ const layerAlign = 32 // bits
 // boundary, and all classes inline. Requested offsets are ignored — the
 // baseline has no cross-layer coordination.
 func (s *Schema) CompileLayered() error {
+	if s.of != nil {
+		return fmt.Errorf("header: CompileLayered on a replay view")
+	}
 	if s.mode != Uncompiled {
 		return fmt.Errorf("header: CompileLayered called twice")
 	}

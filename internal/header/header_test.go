@@ -311,6 +311,102 @@ func TestHandleValid(t *testing.T) {
 
 // Property: however fields are registered, compilation never overlaps two
 // fields and every field round-trips any value, in both byte orders.
+// replayReg is one registration of the replay test's stack.
+type replayReg struct {
+	class       Class
+	layer, name string
+	size, off   int // bits (bytes for a blob) and requested offset
+	blob        bool
+}
+
+func (r replayReg) add(s *Schema) (Handle, error) {
+	if r.blob {
+		return s.AddBytes(r.class, r.layer, r.name, r.size)
+	}
+	return s.AddField(r.class, r.layer, r.name, r.size, r.off)
+}
+
+// A replay view hands a stack that registers what the compiled schema was
+// built from the compiled schema's own handles, and reports any stream
+// that differs from it in any argument or in length.
+func TestReplayView(t *testing.T) {
+	regs := []replayReg{
+		{ConnID, "ident", "src", 16, DontCare, true},
+		{ConnID, "ident", "sport", 16, DontCare, false},
+		{ProtoSpec, "window", "seq", 32, 0, false},
+		{ProtoSpec, "frag", "isfrag", 1, DontCare, false},
+		{MsgSpec, "chksum", "ck", 16, DontCare, false},
+		{Gossip, "window", "ack", 32, DontCare, false},
+	}
+	compiled := New()
+	var want []Handle
+	for _, r := range regs {
+		h, err := r.add(compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, h)
+	}
+	if err := compiled.Compile(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		mod  func(rs []replayReg) []replayReg
+		ok   bool
+	}{
+		{"matching", func(rs []replayReg) []replayReg { return rs }, true},
+		{"class", func(rs []replayReg) []replayReg { rs[3].class = MsgSpec; return rs }, false},
+		{"size", func(rs []replayReg) []replayReg { rs[4].size = 32; return rs }, false},
+		{"fixed offset", func(rs []replayReg) []replayReg { rs[2].off = 8; return rs }, false},
+		{"fixed offset dropped", func(rs []replayReg) []replayReg { rs[2].off = DontCare; return rs }, false},
+		{"blob-ness", func(rs []replayReg) []replayReg { rs[1].size, rs[1].blob = 2, true; return rs }, false},
+		{"layer", func(rs []replayReg) []replayReg { rs[5].layer = "nak"; return rs }, false},
+		{"name", func(rs []replayReg) []replayReg { rs[0].name = "dst"; return rs }, false},
+		{"missing last field", func(rs []replayReg) []replayReg { return rs[:len(rs)-1] }, false},
+		{"one extra field", func(rs []replayReg) []replayReg {
+			return append(rs, replayReg{Gossip, "stamp", "ts", 32, DontCare, false})
+		}, false},
+	}
+	for _, tc := range cases {
+		view := compiled.Replay()
+		var addErr error
+		for i, r := range tc.mod(append([]replayReg(nil), regs...)) {
+			h, err := r.add(view)
+			if err != nil {
+				addErr = err
+				continue // a layer that ignores the error must not get past Replayed
+			}
+			if addErr != nil {
+				t.Errorf("%s: registration %d succeeded after a failed one", tc.name, i)
+			}
+			if h != want[i] {
+				t.Errorf("%s: registration %d returned a handle that is not the compiled field's", tc.name, i)
+			}
+		}
+		err := view.Replayed()
+		if tc.ok && (addErr != nil || err != nil) {
+			t.Errorf("%s: add %v, Replayed %v; want a clean replay", tc.name, addErr, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: not reported (add error %v)", tc.name, addErr)
+		}
+		if err := view.Compile(); err == nil {
+			t.Errorf("%s: Compile on a replay view succeeded", tc.name)
+		}
+		if err := view.CompileLayered(); err == nil {
+			t.Errorf("%s: CompileLayered on a replay view succeeded", tc.name)
+		}
+	}
+	if err := compiled.Replayed(); err == nil {
+		t.Error("Replayed on a schema that is not a view returned nil")
+	}
+	if got := compiled.Fields(); len(got) != len(regs) || compiled.Size(ProtoSpec) != 5 {
+		t.Errorf("replaying changed the compiled schema: %d fields, proto %d bytes", len(got), compiled.Size(ProtoSpec))
+	}
+}
+
 func TestQuickCompactNoOverlap(t *testing.T) {
 	type spec struct {
 		Class uint8

@@ -172,18 +172,16 @@ type Resumer interface {
 // application).
 type Stack struct {
 	layers []Layer
-	index  map[Layer]int
 }
 
 // NewStack builds a stack from top to bottom. Layer instances must be
 // distinct.
 func NewStack(layers ...Layer) (*Stack, error) {
-	s := &Stack{layers: layers, index: make(map[Layer]int, len(layers))}
+	s := &Stack{layers: layers}
 	for i, l := range layers {
-		if _, dup := s.index[l]; dup {
+		if s.Index(l) != i {
 			return nil, fmt.Errorf("stack: layer instance %q appears twice", l.Name())
 		}
-		s.index[l] = i
 	}
 	return s, nil
 }
@@ -275,10 +273,13 @@ func (s *Stack) PostDeliverBelow(ctx *Context, m *message.Msg, i int) {
 	}
 }
 
-// Index returns the position of l in the stack, or -1.
+// Index returns the position of l in the stack, or -1. Stacks are a
+// handful of layers, so a scan beats hashing the interface value.
 func (s *Stack) Index(l Layer) int {
-	if i, ok := s.index[l]; ok {
-		return i
+	for i, x := range s.layers {
+		if x == l {
+			return i
+		}
 	}
 	return -1
 }
@@ -309,8 +310,8 @@ func (s *Stack) PostDeliverAbove(ctx *Context, m *message.Msg, from Layer) {
 }
 
 func (s *Stack) mustIndex(l Layer) int {
-	i, ok := s.index[l]
-	if !ok {
+	i := s.Index(l)
+	if i < 0 {
 		panic(fmt.Sprintf("stack: layer %q not in stack", l.Name()))
 	}
 	return i

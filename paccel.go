@@ -96,7 +96,13 @@ type (
 	// headers, and the whole fanout transmits as one batch. See
 	// DESIGN.md §16.
 	Fanout = core.Fanout
-	// StackBuilder constructs a connection's protocol stack.
+	// StackBuilder constructs a connection's protocol stack. The endpoint
+	// compiles the header layout and the packet filters of the stack's
+	// shape once and every later connection replays its layers' Init
+	// against that plan, so a builder may run more than once for one dial
+	// (it must be free of side effects beyond allocating the layers), and
+	// a layer's Init must register the same fields and emit the same
+	// filter instructions whenever it is configured the same way.
 	StackBuilder = core.StackBuilder
 	// IdentInfo is a parsed incoming connection identification.
 	IdentInfo = layers.IdentInfo
