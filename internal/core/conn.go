@@ -180,7 +180,11 @@ type Conn struct {
 	onDeliver func(payload []byte)
 	closed    bool
 	settling  bool
+	txQueued  bool // a wire image was queued since the last exit
 	stats     ConnStats
+	// notify holds the application notifications (OnRecover, OnGiveUp,
+	// OnConnFail) an operation queued; exit runs them without the lock.
+	notify []func()
 
 	// Telemetry (DESIGN.md §12). tel is nil when disabled, making every
 	// instrumentation site one predictable branch. telShard spreads this
@@ -449,61 +453,128 @@ func (c *Conn) OnDeliver(fn func(payload []byte)) {
 // full backlog surfaces backpressure: ErrBacklogFull by default, or a
 // blocking wait with Config.BlockOnBackpressure.
 func (c *Conn) Send(payload []byte) error {
-	c.mu.Lock()
-	if err := c.sendOpen(); err != nil {
-		c.mu.Unlock()
+	if err := c.enter(gateSend); err != nil {
 		return err
 	}
-	c.drain(&c.send) // §3.1: post-sending completes before the next send
+	err := c.sendLocked(message.New(payload), c.ep.cfg.BlockOnBackpressure)
+	c.exit()
+	return err
+}
+
+// sendLocked is Send between enter and exit; it owns m. A message never
+// overtakes the backlog: while the window is closed, or reopened with
+// messages still waiting, it joins the backlog, which the enclosing exit
+// packs out. block selects waiting over ErrBacklogFull when the backlog
+// is full.
+func (c *Conn) sendLocked(m *message.Msg, block bool) error {
 	for c.send.disable > 0 && len(c.send.backlog) >= c.ep.cfg.maxBacklog() {
-		if !c.ep.cfg.BlockOnBackpressure {
-			c.mu.Unlock()
-			return ErrBacklogFull
+		err := ErrBacklogFull
+		if block {
+			c.blockCond().Wait()
+			// Whoever woke us may have dropped c.mu for a callback with
+			// post-processing still queued: enter again.
+			err = c.enterLocked(gateSend)
 		}
-		c.blockCond().Wait()
-		if err := c.sendOpen(); err != nil {
-			c.mu.Unlock()
+		if err != nil {
+			m.Free()
 			return err
 		}
-		// §3.1 again: whoever woke us (kickBacklog) may have left a
-		// postSend queued and dropped c.mu for a callback before running
-		// it; sending now would stamp a stale predicted sequence number.
-		c.drain(&c.send)
-	}
-	if c.send.disable > 0 {
-		c.stats.Sent++
-		c.send.backlog = append(c.send.backlog, message.New(payload))
-		c.stats.Backlogged++
-		c.mu.Unlock()
-		return nil
 	}
 	c.stats.Sent++
-	err := c.sendMsg(message.New(payload), nil)
-	c.settle()
-	c.mu.Unlock()
+	if c.send.disable > 0 || len(c.send.backlog) > 0 {
+		c.send.backlog = append(c.send.backlog, m)
+		c.stats.Backlogged++
+		return nil
+	}
+	err := c.sendMsg(m, nil)
 	if err != nil && c.terminal != nil {
 		if terr := c.terminal.TerminalErr(); terr != nil {
 			// The layer declared the failure unrecoverable (nonce space
 			// exhausted): recovery would rekey and mask the guard.
-			c.hardFail(terr)
+			c.failLocked(terr)
 			return terr
 		}
 	}
-	c.flushTx()
 	return err
 }
 
-// sendOpen reports whether the connection accepts new sends: not closed,
-// not failed, and the endpoint not draining for Shutdown. Caller holds
-// c.mu.
-func (c *Conn) sendOpen() error {
-	if c.closed || c.ep.draining.Load() {
+// gate is the state check an entry into the connection runs first.
+type gate uint8
+
+const (
+	gateAny     gate = iota // every state (Flush)
+	gateLive                // not closed, not failed (timers, Fail)
+	gateDeliver             // gateLive, counting a datagram for a failed connection as dropped
+	gateSend                // gateLive, and the endpoint not draining for Shutdown
+)
+
+// enter is the one way into a connection. It takes c.mu and runs g's
+// check — on refusal it releases c.mu and returns why — then completes
+// both sides' pending post-processing (§3.1: "before the next send or
+// delivery operation"). Both sides, because a layer's state is not split
+// by direction: the window's acknowledgements ride the other direction's
+// frames. Every successful enter is paired with one exit.
+func (c *Conn) enter(g gate) error {
+	c.mu.Lock()
+	if err := c.admit(g); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	c.drain()
+	return nil
+}
+
+// enterLocked is enter for a caller that holds c.mu: a sender woken from
+// a backpressure wait, which released c.mu while it slept.
+func (c *Conn) enterLocked(g gate) error {
+	if err := c.admit(g); err != nil {
+		return err
+	}
+	c.drain()
+	return nil
+}
+
+// admit runs g's state check. Caller holds c.mu.
+func (c *Conn) admit(g gate) error {
+	if g == gateAny {
+		return nil
+	}
+	if c.closed || (g == gateSend && c.ep.draining.Load()) {
 		return ErrConnClosed
 	}
 	if c.failCause != nil {
+		if g == gateDeliver {
+			// A failed connection keeps its routes until Close so late
+			// datagrams are accounted here rather than as router noise.
+			c.stats.Dropped++
+		}
 		return c.failCause
 	}
 	return nil
+}
+
+// exit ends an operation entered with enter: it settles what the
+// operation made runnable, releases c.mu, transmits the wire images the
+// operation queued, and only then runs the notifications it queued
+// (callbacks never run under the connection lock). An operation that
+// queued nothing leaves the transmit queue to the operations that did —
+// each flushes its own — rather than take over their transmissions.
+func (c *Conn) exit() {
+	c.settle()
+	flush, notify := c.txQueued, c.notify
+	if flush {
+		c.txQueued = false
+	}
+	if notify != nil {
+		c.notify = nil
+	}
+	c.mu.Unlock()
+	if flush {
+		c.flushTx()
+	}
+	for _, fn := range notify {
+		fn()
+	}
 }
 
 // blockCond lazily creates the backpressure wait condition. Caller holds
@@ -635,6 +706,7 @@ func (c *Conn) transmitAs(m *message.Msg, withCID bool) {
 	copy(buf, wire)
 	c.txq = append(c.txq, buf)
 	c.txPending.Add(1)
+	c.txQueued = true
 	if _, err := m.Pop(PreambleSize); err != nil {
 		panic("core: preamble pop: " + err.Error())
 	}
@@ -805,26 +877,18 @@ func shapeCoalescible(q [][]byte) {
 // nil; src is the transport source address, consulted for peer address
 // migration.
 func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder, src string) {
-	c.mu.Lock()
-	if c.closed || c.failCause != nil {
-		// A failed connection keeps its routes until Close so late
-		// datagrams are accounted here rather than as router noise.
-		if c.failCause != nil {
-			c.stats.Dropped++
-		}
-		c.mu.Unlock()
+	if c.enter(gateDeliver) != nil {
 		m.Free()
 		return
 	}
 	t0 := c.telStart()
 	c.recvActivity++
-	c.drain(&c.recv) // §3.1: post-delivery completes before the next delivery
-	c.settle()       // finish releases unblocked by that post-processing
+	c.settle() // finish releases unblocked by the post-processing enter ran
 
 	env, sizes, err := c.parseWire(m, cid, order)
 	if err != nil {
 		c.stats.Dropped++
-		c.mu.Unlock()
+		c.exit()
 		m.Free()
 		return
 	}
@@ -834,17 +898,16 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 		// failures drop the message (checksum mismatch).
 		c.stats.Dropped++
 		c.putEnv(env)
-		c.mu.Unlock()
+		c.exit()
 		m.Free()
 		return
 	}
 
 	// A datagram that passes the delivery filter while the connection
 	// is recovering completes the recovery: the peer is reachable
-	// again. The callback runs after the lock is released.
-	var onRecovered func()
+	// again.
 	if c.recovering {
-		onRecovered = c.finishRecoveryLocked()
+		c.finishRecoveryLocked()
 	}
 
 	fast := c.recv.disable == 0 &&
@@ -889,11 +952,7 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 	}
 	c.settle()
 	c.telEnd(telemetry.OpDeliver, t0)
-	c.mu.Unlock()
-	if onRecovered != nil {
-		onRecovered()
-	}
-	c.flushTx()
+	c.exit()
 }
 
 // acceptDelivery queues the message's application payload(s) — unpacking
@@ -962,10 +1021,12 @@ func (c *Conn) parseWire(m *message.Msg, cid []byte, order bits.ByteOrder) (*fil
 // settle processes everything the operation made runnable: application
 // callbacks (without the lock), releases from buffering layers, post-
 // processing, and the packed backlog. Caller holds c.mu; settle returns
-// with it held.
+// with it held. A nested settle (a callback's operation) leaves the work
+// to the outer loop.
 func (c *Conn) settle() {
-	if c.settling {
-		return // re-entered via a callback calling Send; outer loop continues
+	if c.settling || len(c.appQ)|len(c.deliverQ)|len(c.recv.pending)|len(c.send.pending) == 0 &&
+		(c.send.disable > 0 || len(c.send.backlog) == 0) {
+		return // nested, or nothing runnable (an emptied post queue has length 0, see drain)
 	}
 	c.settling = true
 	defer func() { c.settling = false }()
@@ -1049,17 +1110,30 @@ func (c *Conn) releaseSynthetic(item releaseItem) {
 	item.m.Free()
 }
 
-// drain runs a side's pending post-processing to completion (§3.1: "but
-// before the next send or delivery operation"). Caller holds c.mu.
-func (c *Conn) drain(s *sideState) {
-	if s.pendingLen() == 0 {
-		return
+// drain runs both sides' pending post-processing to completion, receive
+// side first as in settle. Only enter calls it; with both queues empty,
+// the common case, it is one inlined test (popPost rewinds an emptied
+// queue, so its length is zero exactly when nothing is pending). Caller
+// holds c.mu.
+func (c *Conn) drain() {
+	if len(c.recv.pending)|len(c.send.pending) != 0 {
+		c.drainAll()
 	}
+}
+
+func (c *Conn) drainAll() {
 	t0 := c.telStart()
-	for s.pendingLen() > 0 {
-		c.runOnePost(s)
+	for {
+		switch {
+		case c.recv.pendingLen() > 0:
+			c.runOnePost(&c.recv)
+		case c.send.pendingLen() > 0:
+			c.runOnePost(&c.send)
+		default:
+			c.telEnd(telemetry.OpPost, t0)
+			return
+		}
 	}
-	c.telEnd(telemetry.OpPost, t0)
 }
 
 func (c *Conn) runOnePost(s *sideState) {
@@ -1103,29 +1177,19 @@ func (c *Conn) runOnePost(s *sideState) {
 
 // Flush runs all outstanding post-processing and transmissions.
 func (c *Conn) Flush() {
-	c.mu.Lock()
-	c.drain(&c.recv)
-	c.drain(&c.send)
-	c.settle()
-	c.mu.Unlock()
-	c.flushTx()
+	if c.enter(gateAny) == nil {
+		c.exit()
+	}
 }
 
 // kickBacklog packs and sends backlogged messages (§3.4). Caller holds
-// c.mu; prediction must be enabled. Batches are bounded by count and by
+// c.mu; prediction must be enabled and no post-processing pending —
+// settle reaches it only once both queues are empty, so the window has
+// advanced past the previous send. Batches are bounded by count and by
 // total payload bytes: a packed message must stay under the
 // fragmentation threshold, or splitting it would destroy the packing
 // structure.
 func (c *Conn) kickBacklog() {
-	// §3.1: a pending post op from the previous send must run before the
-	// next PreSend, or the window layer stamps a stale sequence number
-	// (its nextSeq only advances in PostSend) and the peer silently
-	// drops the batch as duplicates. Draining may also fill the window,
-	// so re-check the gate.
-	c.drain(&c.send)
-	if c.send.disable > 0 || len(c.send.backlog) == 0 {
-		return
-	}
 	n := len(c.send.backlog)
 	if n > c.ep.maxPack {
 		n = c.ep.maxPack
@@ -1251,19 +1315,17 @@ func (c *Conn) telEnd(op telemetry.Op, t0 time.Time) {
 // Clock implements stack.Services.
 func (c *Conn) Clock() vclock.Clock { return c.ep.cfg.clock() }
 
-// AfterFunc implements stack.Services: the callback runs holding the
-// connection lock, followed by a settle pass and a transmit flush.
+// AfterFunc implements stack.Services: the callback enters the
+// connection like any other operation — under the lock, after pending
+// post-processing — and is skipped once the connection is closed or
+// failed.
 func (c *Conn) AfterFunc(d time.Duration, f func()) vclock.Timer {
 	return c.ep.cfg.clock().AfterFunc(d, func() {
-		c.mu.Lock()
-		if c.closed || c.failCause != nil {
-			c.mu.Unlock()
+		if c.enter(gateLive) != nil {
 			return
 		}
 		f()
-		c.settle()
-		c.mu.Unlock()
-		c.flushTx()
+		c.exit()
 	})
 }
 
@@ -1350,9 +1412,10 @@ func (c *Conn) SendRaw(m *message.Msg, includeConnID bool) error {
 		if err := c.resealer.Reseal(m); err != nil {
 			if c.terminal != nil {
 				if terr := c.terminal.TerminalErr(); terr != nil {
-					// Cannot hardFail here: SendRaw is called with c.mu
-					// held (window resend path). The next Send surfaces
-					// the terminal error and fails the connection.
+					// Not failed here: SendRaw runs inside a layer (the
+					// window's resend loop), which must not have its
+					// layers closed under it. The next Send surfaces the
+					// terminal error and fails the connection.
 					return terr
 				}
 			}

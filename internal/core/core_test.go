@@ -480,7 +480,9 @@ func TestCorruptionDropped(t *testing.T) {
 	// Capture a legitimate datagram from A, corrupt its payload.
 	rawA := net.Endpoint("A")
 	var captured []byte
-	epA, err := NewEndpoint(Config{Transport: &capturingTransport{Transport: rawA, out: &captured}, Clock: clk})
+	epA, err := NewEndpoint(Config{Transport: &frameTap{Transport: rawA, onSend: func(d []byte) {
+		captured = append([]byte(nil), d...)
+	}}, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,15 +512,17 @@ func TestCorruptionDropped(t *testing.T) {
 	}
 }
 
-// capturingTransport records the last datagram sent.
-type capturingTransport struct {
+// frameTap shows every outgoing datagram to onSend before forwarding it.
+// It deliberately hides the inner transport's SendBatch, so the engine
+// hands it one wire image per call.
+type frameTap struct {
 	Transport
-	out *[]byte
+	onSend func(wire []byte)
 }
 
-func (c *capturingTransport) Send(dst string, d []byte) error {
-	*c.out = append([]byte(nil), d...)
-	return c.Transport.Send(dst, d)
+func (f *frameTap) Send(dst string, d []byte) error {
+	f.onSend(d)
+	return f.Transport.Send(dst, d)
 }
 
 func TestBacklogFull(t *testing.T) {
@@ -600,8 +604,10 @@ func TestGoldenWireFormat(t *testing.T) {
 	net := netsim.New(clk, netsim.Config{})
 	var captured []byte
 	ep, err := NewEndpoint(Config{
-		Transport: &capturingTransport{Transport: net.Endpoint("A"), out: &captured},
-		Clock:     clk,
+		Transport: &frameTap{Transport: net.Endpoint("A"), onSend: func(d []byte) {
+			captured = append([]byte(nil), d...)
+		}},
+		Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)

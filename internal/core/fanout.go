@@ -234,51 +234,26 @@ func (f *Fanout) Send(payload []byte) error {
 	msgOff := tc.protoN
 	gosOff := tc.protoN + tc.msgN
 
-	// Stamp pass: per member, under that member's lock — drain its
-	// pending send post-processing first (§3.1: a stale post op would
-	// leave a stale predicted sequence), then clone the template and
-	// overwrite only the member-specific predicted classes.
+	// Stamp pass: per member, entered like any other operation (so its
+	// prediction is current, §3.1) — clone the template and overwrite
+	// only the member-specific predicted classes.
 	f.bufs = f.bufs[:0]
 	f.dsts = f.dsts[:0]
 	f.owners = f.owners[:0]
 	for _, c := range f.conns {
-		c.mu.Lock()
-		if err := c.sendOpen(); err != nil {
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
-				f.leave = append(f.leave, c)
-			} else {
-				f.memberErr(c, err)
-			}
+		if err := c.enter(gateSend); err != nil {
+			f.memberErr(c, err)
 			continue
 		}
-		c.drain(&c.send)
-		if c.send.disable > 0 {
-			// Window closed: the payload joins this member's backlog and
-			// is packed out when the window reopens, exactly as a direct
-			// Send would. A full backlog is backpressure for this member
-			// only.
-			if len(c.send.backlog) >= c.ep.cfg.maxBacklog() {
-				c.mu.Unlock()
-				f.memberErr(c, ErrBacklogFull)
-				continue
-			}
-			c.stats.Sent++
-			c.stats.Backlogged++
-			c.send.backlog = append(c.send.backlog, message.New(payload))
-			c.mu.Unlock()
-			continue
-		}
-		if !allZero(c.send.predict[header.MsgSpec]) {
-			// A layer has predicted message-specific bytes, so the
+		if c.send.disable > 0 || len(c.send.backlog) > 0 || !allZero(c.send.predict[header.MsgSpec]) {
+			// A closed window or a waiting backlog: the payload joins
+			// this member's backlog, exactly as a direct Send would — a
+			// full backlog is backpressure for this member only. Or a
+			// layer has predicted message-specific bytes, so the
 			// template's filter-filled MsgSpec is not valid for this
-			// member; take the full per-member path (see TemplateStamper).
-			c.stats.Sent++
-			err := c.sendMsg(message.New(payload), nil)
-			c.settle()
-			c.mu.Unlock()
-			c.flushTx()
+			// member (see TemplateStamper). Either way: the direct path.
+			err := c.sendLocked(message.New(payload), false)
+			c.exit()
 			if err != nil {
 				f.memberErr(c, err)
 			}
@@ -311,9 +286,8 @@ func (f *Fanout) Send(payload []byte) error {
 		c.txq = c.txq[:n-1]
 		c.txPending.Add(-1)
 		c.queuePostSend(m, env)
-		c.settle()
 		dst := c.addr
-		c.mu.Unlock()
+		c.exit()
 
 		f.bufs = append(f.bufs, buf)
 		f.dsts = append(f.dsts, dst)
@@ -360,9 +334,7 @@ func (f *Fanout) Send(payload []byte) error {
 	}
 
 	// Return the stamped buffers to their owners' pools and attribute
-	// transport refusals; then flush any residual per-member traffic the
-	// stamping pass queued (a backlog kicked by an ack that arrived
-	// synchronously).
+	// transport refusals.
 	fi := 0
 	for i, c := range f.owners {
 		c.mu.Lock()
@@ -375,9 +347,6 @@ func (f *Fanout) Send(payload []byte) error {
 		f.bufs[i] = nil
 		f.owners[i] = nil
 	}
-	for _, c := range f.conns {
-		c.flushTx()
-	}
 
 	f.processLeaves()
 	f.telEnd(t0)
@@ -389,10 +358,6 @@ func (f *Fanout) Send(payload []byte) error {
 func (f *Fanout) sendPerMember(payload []byte) error {
 	for _, c := range f.conns {
 		if err := c.Send(payload); err != nil {
-			if errors.Is(err, ErrConnClosed) && c.State() == StateClosed {
-				f.leave = append(f.leave, c)
-				continue
-			}
 			f.memberErr(c, err)
 		}
 	}
@@ -418,8 +383,14 @@ func (f *Fanout) processLeaves() {
 	f.members.Set(int64(len(f.conns)))
 }
 
-// memberErr records one member's failure without aborting the fanout.
+// memberErr records one member's failure without aborting the fanout. A
+// member found closed has departed instead: it is dropped from the group
+// (processLeaves), not reported.
 func (f *Fanout) memberErr(c *Conn, err error) {
+	if errors.Is(err, ErrConnClosed) && c.State() == StateClosed {
+		f.leave = append(f.leave, c)
+		return
+	}
 	f.errs = append(f.errs, fmt.Errorf("core: fanout member %s: %w", c.spec.Addr, err))
 }
 

@@ -87,8 +87,10 @@ func TestTruncatedLegitimateDatagrams(t *testing.T) {
 	net := netsim.New(clk, netsim.Config{})
 	var captured []byte
 	epA, err := NewEndpoint(Config{
-		Transport: &capturingTransport{Transport: net.Endpoint("A"), out: &captured},
-		Clock:     clk,
+		Transport: &frameTap{Transport: net.Endpoint("A"), onSend: func(d []byte) {
+			captured = append([]byte(nil), d...)
+		}},
+		Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)

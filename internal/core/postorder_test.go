@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -9,19 +12,6 @@ import (
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
 )
-
-// frameTap shows every outgoing datagram to onSend before forwarding it.
-// It deliberately hides the inner transport's SendBatch, so the engine
-// hands it one wire image per call.
-type frameTap struct {
-	Transport
-	onSend func(wire []byte)
-}
-
-func (f *frameTap) Send(dst string, d []byte) error {
-	f.onSend(d)
-	return f.Transport.Send(dst, d)
-}
 
 // windowSeq parses c's own wire image far enough to read the window
 // layer's frame type and sequence number. It reports problems with
@@ -204,5 +194,214 @@ func TestPostSendPrecedesWire(t *testing.T) {
 	}
 	if st := a.Stats(); st.PackedBatches == 0 || frames <= int(st.PackedBatches) {
 		t.Fatalf("tap saw %d data frames, %d packed: want single and packed frames both", frames, st.PackedBatches)
+	}
+}
+
+// windowOf returns c's window layer.
+func windowOf(t *testing.T, c *Conn) *layers.Window {
+	t.Helper()
+	for _, l := range c.Layers() {
+		if w, ok := l.(*layers.Window); ok {
+			return w
+		}
+	}
+	t.Fatal("no window layer in the stack")
+	return nil
+}
+
+// TestTimerSeesNoQueuedPost: a timer enters the connection like any other
+// operation. One that fires inside a delivery callback — while that
+// delivery's post-processing, and the post-send of a reply sent from the
+// callback, are still queued — runs only after both have completed
+// (§3.1: "before the next send or delivery operation").
+func TestTimerSeesNoQueuedPost(t *testing.T) {
+	r := newRig(t, netsim.Config{}, nil)
+	b := r.b
+	recvLeft, sendLeft, fired := 0, 0, false
+	b.mu.Lock()
+	b.AfterFunc(time.Millisecond, func() {
+		fired = true
+		recvLeft, sendLeft = b.recv.pendingLen(), b.send.pendingLen()
+	})
+	b.mu.Unlock()
+	nested := false
+	b.OnDeliver(func(p []byte) {
+		r.fromA.add(p)
+		if nested {
+			return
+		}
+		nested = true
+		if err := b.Send(p); err != nil {
+			t.Error(err)
+		}
+		r.clk.Advance(2 * time.Millisecond)
+	})
+	if err := r.a.Send([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("timer never fired")
+	}
+	if recvLeft != 0 || sendLeft != 0 {
+		t.Fatalf("timer ran with post-processing queued: recv %d, send %d", recvLeft, sendLeft)
+	}
+}
+
+// checkSeq asserts that s holds exactly the payloads 0..n-1, each a
+// big-endian uint32, in order.
+func checkSeq(t *testing.T, dir string, s *sink, n int) {
+	t.Helper()
+	if got := s.count(); got != n {
+		t.Fatalf("%s: delivered %d messages, want %d", dir, got, n)
+	}
+	for i := 0; i < n; i++ {
+		if got := binary.BigEndian.Uint32(s.get(i)); got != uint32(i) {
+			t.Fatalf("%s: message %d is %d: duplicated, lost or reordered", dir, i, got)
+		}
+	}
+}
+
+func seqPayload(i uint32) []byte { return binary.BigEndian.AppendUint32(nil, i) }
+
+// TestAdvanceInsideCallbackExactlyOnce advances the clock 2 s from inside
+// a delivery callback over a 1 ms link while both directions have unacked
+// data (and backlogs): every delivery, delayed ack and retransmission
+// timeout in flight fires inside the callback. Delivery stays
+// exactly-once and in order both ways.
+func TestAdvanceInsideCallbackExactlyOnce(t *testing.T) {
+	r := newRig(t, netsim.Config{Latency: time.Millisecond}, nil)
+	nested := false
+	r.b.OnDeliver(func(p []byte) {
+		r.fromA.add(p)
+		if !nested {
+			nested = true
+			r.clk.Advance(2 * time.Second)
+		}
+	})
+	const n = 40 // beyond the 16-frame window
+	for i := uint32(0); i < n; i++ {
+		if err := r.a.Send(seqPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.b.Send(seqPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100 && (r.fromA.count() < n || r.fromB.count() < n); i++ {
+		r.settleNet(100 * time.Millisecond)
+	}
+	if !nested {
+		t.Fatal("the callback never advanced the clock")
+	}
+	checkSeq(t, "A→B", r.fromA, n)
+	checkSeq(t, "B→A", r.fromB, n)
+}
+
+// TestEchoFromCallbackAcksRequest: a reply sent from the delivery
+// callback is stamped after the request's post-delivery has run, so its
+// piggybacked ack covers the request — over a perfect link the requester
+// holds nothing unacked once the echo is back.
+func TestEchoFromCallbackAcksRequest(t *testing.T) {
+	r := newRig(t, netsim.Config{}, nil)
+	r.b.OnDeliver(func(p []byte) {
+		r.fromA.add(p)
+		if err := r.b.Send(p); err != nil {
+			t.Error(err)
+		}
+	})
+	win := windowOf(t, r.a)
+	for i := 0; i < 10; i++ {
+		if err := r.a.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.fromB.count(); got != i+1 {
+			t.Fatalf("round trip %d: %d echoes back", i, got)
+		}
+		r.a.mu.Lock()
+		out := win.Outstanding()
+		r.a.mu.Unlock()
+		if out != 0 {
+			t.Fatalf("round trip %d: %d frame(s) unacked after the echo, want 0", i, out)
+		}
+	}
+}
+
+// TestSeededInterleavings is a small deterministic simulation of one
+// connection pair over a lossy 50 µs link: per seed, a random mix of
+// sends from the test and from delivery callbacks, clock advances from
+// inside callbacks and from outside, and Flush. Delivery stays
+// exactly-once and in order both ways, and a probe timer armed at every
+// step always fires with both post-processing queues empty.
+func TestSeededInterleavings(t *testing.T) {
+	for seed := int64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { runInterleaving(t, seed) })
+	}
+}
+
+func runInterleaving(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	r := newRig(t, netsim.Config{Latency: 50 * time.Microsecond, LossRate: 0.01, Seed: seed}, nil)
+	conns := [2]*Conn{r.a, r.b}
+	got := [2]*sink{r.fromB, r.fromA} // got[i]: delivered at conns[i]
+	var (
+		sent       [2]uint32 // messages conns[i] has sent
+		cbSends    [2]int    // sends owed by conns[i]'s next deliveries
+		cbAdvances int       // clock advances owed by the next deliveries
+		dirty      int       // probe timers that found post-processing queued
+	)
+	// Everything runs on this goroutine: the link and every timer are
+	// driven by the manual clock.
+	send := func(i int) {
+		if err := conns[i].Send(seqPayload(sent[i])); err != nil {
+			t.Fatalf("send from %d: %v", i, err)
+		}
+		sent[i]++
+	}
+	for i := range conns {
+		conns[i].OnDeliver(func(p []byte) {
+			got[i].add(p)
+			if cbSends[i] > 0 {
+				cbSends[i]--
+				send(i)
+			}
+			if cbAdvances > 0 {
+				cbAdvances--
+				r.clk.Advance(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			}
+		})
+	}
+	for step := 0; step < 300; step++ {
+		i := rng.Intn(2)
+		c := conns[i]
+		c.mu.Lock()
+		c.AfterFunc(time.Duration(rng.Intn(500))*time.Microsecond, func() {
+			if c.recv.pendingLen() != 0 || c.send.pendingLen() != 0 {
+				dirty++
+			}
+		})
+		c.mu.Unlock()
+		switch rng.Intn(5) {
+		case 0:
+			send(i)
+		case 1: // a reply from i's next delivery callback
+			cbSends[i]++
+			send(1 - i)
+		case 2: // an advance from the next delivery callback
+			cbAdvances++
+			send(1 - i)
+		case 3:
+			c.Flush()
+		case 4:
+			r.clk.Advance(time.Duration(rng.Intn(300)) * time.Microsecond)
+		}
+	}
+	cbSends, cbAdvances = [2]int{}, 0
+	for k := 0; k < 600 && (got[1].count() < int(sent[0]) || got[0].count() < int(sent[1])); k++ {
+		r.clk.Advance(100 * time.Millisecond)
+	}
+	checkSeq(t, "A→B", got[1], int(sent[0]))
+	checkSeq(t, "B→A", got[0], int(sent[1]))
+	if dirty > 0 {
+		t.Fatalf("%d timer(s) fired with post-processing queued", dirty)
 	}
 }

@@ -73,13 +73,10 @@ type RecoveryConfig struct {
 func (c *Conn) recoveryOn() bool { return c.ep.cfg.Recovery.MaxAttempts > 0 }
 
 // enterRecoveryLocked moves the connection from Active to Recovering:
-// pending post-processing settles, supervision stops (its silence signal
-// is what got us here), application sends divert to the backlog under
-// the usual backpressure bounds, and the first probe is armed. Caller
-// holds c.mu; enterRecoveryLocked releases it and flushes.
+// supervision stops (its silence signal is what got us here), application
+// sends divert to the backlog under the usual backpressure bounds, and
+// the first probe is armed. Caller is between enter and exit.
 func (c *Conn) enterRecoveryLocked(cause error) {
-	c.drain(&c.recv)
-	c.drain(&c.send)
 	if cause == nil {
 		cause = ErrConnFailed
 	}
@@ -94,8 +91,6 @@ func (c *Conn) enterRecoveryLocked(cause error) {
 		c.send.disable++
 	}
 	c.armRecoveryLocked()
-	c.mu.Unlock()
-	c.flushTx()
 }
 
 // armRecoveryLocked schedules the next probe with full-jitter backoff.
@@ -127,27 +122,27 @@ func (c *Conn) recoveryDelay(k int) time.Duration {
 	return time.Duration(c.recoverRng.Int63n(int64(ceil)))
 }
 
-// recoverTick is one probe round. Like superviseTick it takes the lock
-// itself: it runs on a clock goroutine, not under AfterFunc's
-// connection-lock wrapper (which skips failed connections and must not
-// gate recovery).
+// recoverTick is one probe round. A recovering connection is live (its
+// failCause stays nil), so the probe timer enters like any other.
 func (c *Conn) recoverTick() {
-	c.mu.Lock()
-	if c.closed || !c.recovering {
-		c.mu.Unlock()
+	if c.enter(gateLive) != nil {
+		return
+	}
+	defer c.exit()
+	if !c.recovering {
 		return
 	}
 	c.recoverTimer = nil
 	r := &c.ep.cfg.Recovery
 	if c.recoverAttempt >= r.MaxAttempts {
-		cause := c.recoverCause
-		attempts := c.recoverAttempt
-		c.cancelRecoveryLocked()
-		err := c.failLocked(fmt.Errorf("%w after %d attempts: %w",
-			ErrRecoveryExhausted, attempts, cause)) // releases c.mu
+		var err error
 		if cb := r.OnGiveUp; cb != nil {
-			cb(c, err)
+			// Queued ahead of failLocked's OnConnFail; err is set before
+			// exit runs either.
+			c.notify = append(c.notify, func() { cb(c, err) })
 		}
+		err = c.failLocked(fmt.Errorf("%w after %d attempts: %w",
+			ErrRecoveryExhausted, c.recoverAttempt, c.recoverCause))
 		return
 	}
 	c.recoverAttempt++
@@ -158,8 +153,6 @@ func (c *Conn) recoverTick() {
 	c.settle()
 	c.telEnd(telemetry.OpProbe, t0)
 	c.armRecoveryLocked()
-	c.mu.Unlock()
-	c.flushTx()
 }
 
 // resumeProbeLocked runs the session-resumption handshake: every
@@ -179,7 +172,7 @@ func (c *Conn) resumeProbeLocked() {
 
 // cancelRecoveryLocked clears the recovering state: timer stopped, the
 // send hold released (the backlog is kicked by the caller's settle, or
-// freed by a terminal failLocked). Caller holds c.mu.
+// freed by a terminal failLocked). Idempotent. Caller holds c.mu.
 func (c *Conn) cancelRecoveryLocked() {
 	c.recovering = false
 	c.recoverCause = nil
@@ -196,22 +189,19 @@ func (c *Conn) cancelRecoveryLocked() {
 }
 
 // finishRecoveryLocked completes a recovery — the peer was heard from
-// again. Supervision restarts and the backlog accumulated while
-// recovering drains on the caller's settle pass. It returns the
-// OnRecover notification for the caller to run after releasing c.mu
-// (callbacks never run under the connection lock). Caller holds c.mu.
-func (c *Conn) finishRecoveryLocked() func() {
+// again. Supervision restarts, the backlog accumulated while recovering
+// drains on the caller's settle pass, and OnRecover is queued for exit.
+// Caller is between enter and exit.
+func (c *Conn) finishRecoveryLocked() {
 	cause := c.recoverCause
 	attempts := c.recoverAttempt
 	c.cancelRecoveryLocked()
 	c.stats.Recovered++
 	c.tel.Event(telemetry.EventState, c.outCookie, "active (recovered)")
 	c.startSupervisionLocked()
-	cb := c.ep.cfg.Recovery.OnRecover
-	if cb == nil {
-		return nil
+	if cb := c.ep.cfg.Recovery.OnRecover; cb != nil {
+		c.notify = append(c.notify, func() { cb(c, cause, attempts) })
 	}
-	return func() { cb(c, cause, attempts) }
 }
 
 // newRecoveryRng seeds a connection's jitter source: the configured

@@ -98,50 +98,32 @@ func (c *Conn) Err() error {
 // dropped and counted. The connection keeps its routes until Close.
 // Fail is idempotent and a no-op on a closed connection.
 func (c *Conn) Fail(cause error) {
-	c.mu.Lock()
-	if c.closed || c.failCause != nil {
-		c.mu.Unlock()
+	if c.enter(gateLive) != nil {
 		return
 	}
-	if c.recovering {
-		// An explicit Fail during recovery is an escalation, not a
-		// second trigger: give up now.
-		c.cancelRecoveryLocked()
-		c.failLocked(cause)
-		return
-	}
-	if c.recoveryOn() && !c.ep.draining.Load() {
+	c.failOrRecoverLocked(cause)
+	c.exit()
+}
+
+// failOrRecoverLocked is Fail between enter and exit.
+func (c *Conn) failOrRecoverLocked(cause error) {
+	// A Fail during recovery is an escalation, not a second trigger:
+	// give up now.
+	if !c.recovering && c.recoveryOn() && !c.ep.draining.Load() {
 		c.enterRecoveryLocked(cause)
 		return
 	}
 	c.failLocked(cause)
 }
 
-// hardFail moves the connection straight to the terminal Failed state,
-// bypassing the recovery engine — for causes recovery must not mask. A
-// secure layer whose nonce space is exhausted is the canonical case: a
-// resume would rekey and reset the counter, hiding a guard that exists
-// precisely to refuse further traffic. Idempotent; no-op when already
-// closed or failed.
-func (c *Conn) hardFail(cause error) {
-	c.mu.Lock()
-	if c.closed || c.failCause != nil {
-		c.mu.Unlock()
-		return
-	}
-	if c.recovering {
-		c.cancelRecoveryLocked()
-	}
-	c.failLocked(cause)
-}
-
-// failLocked is the terminal half of Fail. Caller holds c.mu;
-// failLocked releases it, flushes queued transmissions, invokes the
-// OnConnFail callback (never under the lock — it may call back into
-// the Conn), and returns the stored error.
+// failLocked moves the connection to the terminal Failed state, ending
+// any recovery — a secure layer's nonce exhaustion comes here directly,
+// since a resume would rekey and hide a guard that exists to refuse
+// further traffic. Enter already ran the pending post-processing (layer
+// state settles before the layers shut down); exit flushes what it
+// queued and then runs OnConnFail. Returns the stored error.
 func (c *Conn) failLocked(cause error) error {
-	c.drain(&c.recv)
-	c.drain(&c.send)
+	c.cancelRecoveryLocked()
 	if cause == nil {
 		c.failCause = ErrConnFailed
 	} else {
@@ -163,14 +145,9 @@ func (c *Conn) failLocked(cause error) error {
 	}
 	c.deliverQ = nil
 	c.wakeBlocked()
-	cb := c.ep.cfg.OnConnFail
 	err := c.failCause
-	c.mu.Unlock()
-	// The drained post-processing may have queued transmissions (acks,
-	// retransmits); push them out before reporting the failure.
-	c.flushTx()
-	if cb != nil {
-		cb(c, err)
+	if cb := c.ep.cfg.OnConnFail; cb != nil {
+		c.notify = append(c.notify, func() { cb(c, err) })
 	}
 	return err
 }
@@ -200,21 +177,17 @@ func (c *Conn) startSupervisionLocked() {
 }
 
 func (c *Conn) superviseTick() {
-	c.mu.Lock()
-	if c.closed || c.failCause != nil {
-		c.mu.Unlock()
+	if c.enter(gateLive) != nil {
 		return
 	}
 	if c.recvActivity == c.superSeen {
-		quiet := c.ep.cfg.PeerTimeout
 		c.superTimer = nil
-		c.mu.Unlock()
-		c.Fail(fmt.Errorf("%w: no traffic for at least %v", ErrPeerSilent, quiet))
-		return
+		c.failOrRecoverLocked(fmt.Errorf("%w: no traffic for at least %v", ErrPeerSilent, c.ep.cfg.PeerTimeout))
+	} else {
+		c.superSeen = c.recvActivity
+		c.superTimer = c.ep.cfg.clock().AfterFunc(c.ep.cfg.PeerTimeout, c.superviseTick)
 	}
-	c.superSeen = c.recvActivity
-	c.superTimer = c.ep.cfg.clock().AfterFunc(c.ep.cfg.PeerTimeout, c.superviseTick)
-	c.mu.Unlock()
+	c.exit()
 }
 
 // stopSupervision cancels the dead-peer timer. Caller holds c.mu.
