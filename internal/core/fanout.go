@@ -185,10 +185,10 @@ func (f *Fanout) Send(payload []byte) error {
 	f.leave = f.leave[:0]
 
 	// Template build: the geometry (class sizes, filter program) is fixed
-	// at stack construction and identical across the endpoint's members,
-	// so the first member's is the group's. The filter writes only into
-	// the template's regions via the environment — no connection state —
-	// so no lock is needed here.
+	// by the stack plan, so the first member's is the template's; members
+	// of another plan take the direct path in the stamp pass. The filter
+	// writes only into the template's regions via the environment — no
+	// connection state — so no lock is needed here.
 	tc := f.conns[0]
 	tc.mu.Lock()
 	stateful := !allZero(tc.send.predict[header.MsgSpec])
@@ -245,13 +245,16 @@ func (f *Fanout) Send(payload []byte) error {
 			f.memberErr(c, err)
 			continue
 		}
-		if c.send.disable > 0 || len(c.send.backlog) > 0 || !allZero(c.send.predict[header.MsgSpec]) {
+		if c.send.disable > 0 || len(c.send.backlog) > 0 || !allZero(c.send.predict[header.MsgSpec]) ||
+			c.send.prog != tc.send.prog {
 			// A closed window or a waiting backlog: the payload joins
 			// this member's backlog, exactly as a direct Send would — a
 			// full backlog is backpressure for this member only. Or a
 			// layer has predicted message-specific bytes, so the
 			// template's filter-filled MsgSpec is not valid for this
-			// member (see TemplateStamper). Either way: the direct path.
+			// member (see TemplateStamper). Or the member runs another
+			// plan than the template's, whose geometry may differ.
+			// Either way: the direct path.
 			err := c.sendLocked(message.New(payload), false)
 			c.exit()
 			if err != nil {

@@ -393,6 +393,80 @@ func TestFanoutRejectsUnstampableLayer(t *testing.T) {
 	}
 }
 
+// TestFanoutMixedShapes checks a fanout over members of two stack shapes:
+// the template is built from the first member's plan, so a member of the
+// other shape must take its own full send rather than a clone stamped at
+// the first shape's offsets.
+func TestFanoutMixedShapes(t *testing.T) {
+	clk := vclock.NewManual(t0)
+	net := netsim.New(clk, netsim.Config{})
+	hub, err := NewEndpoint(Config{Transport: net.Endpoint("hub"), Clock: clk, Build: twoShapeBuild})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	var conns, peers []*Conn
+	var sinks []*sink
+	for _, epoch := range []uint32{2, 3} {
+		name := memberName(int(epoch))
+		ep, err := NewEndpoint(Config{Transport: net.Endpoint(name), Clock: clk, Build: twoShapeBuild})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		hc, err := hub.Dial(PeerSpec{
+			Addr: name, LocalID: []byte("hub"), RemoteID: []byte(name),
+			LocalPort: 1, RemotePort: uint16(epoch), Epoch: epoch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := ep.Dial(PeerSpec{
+			Addr: "hub", LocalID: []byte(name), RemoteID: []byte("hub"),
+			LocalPort: uint16(epoch), RemotePort: 1, Epoch: epoch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk := &sink{}
+		mc.OnDeliver(sk.add)
+		if err := hc.Send([]byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+		if err := mc.Send([]byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, hc)
+		peers = append(peers, mc)
+		sinks = append(sinks, sk)
+	}
+	if conns[0].send.prog == conns[1].send.prog {
+		t.Fatal("the two shapes share a send program")
+	}
+	f, err := NewFanout(hub, conns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := f.Send([]byte("fanout-8")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sk := range sinks {
+		if got := sk.count(); got != 4 {
+			t.Fatalf("member %d delivered %d messages, want warm-up + 3", i, got)
+		}
+		for j := 1; j < 4; j++ {
+			if string(sk.get(j)) != "fanout-8" {
+				t.Fatalf("member %d message %d = %q", i, j, sk.get(j))
+			}
+		}
+		if d := peers[i].Stats().Dropped; d != 0 {
+			t.Fatalf("member %d dropped %d", i, d)
+		}
+	}
+}
+
 // msgSpecPredictor registers a message-specific field and — against the
 // template contract — predicts it, forcing the engine's runtime
 // fallback.

@@ -436,57 +436,46 @@ func TestQuickExactlyOnceUnderAdversity(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderBufferingAblation compares the window layer's two gap
-// strategies under a reordering network: buffering future frames needs
-// far fewer retransmissions than dropping them (go-back-N).
-func TestOutOfOrderBufferingAblation(t *testing.T) {
-	run := func(buffer bool) (retransmits uint64) {
-		build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-			w := layers.NewWindow()
-			w.BufferOutOfOrder = buffer
-			w.Naks = buffer
-			return []stack.Layer{
-				layers.NewChksum(), layers.NewFrag(), w,
-				&layers.Ident{
-					Local: spec.LocalID, Remote: spec.RemoteID,
-					LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-					Epoch: spec.Epoch, Order: order,
-				},
-			}, nil
-		}
-		r := newRig(t, netsim.Config{
-			Latency: 200 * time.Microsecond, ReorderRate: 0.4, Seed: 31,
-		}, func(cfgA, cfgB *Config) {
-			cfgA.Build = build
-			cfgB.Build = build
-		})
-		const n = 60
-		for i := 0; i < n; i++ {
-			if err := r.a.Send([]byte{byte(i)}); err != nil {
-				t.Fatal(err)
-			}
-			r.settleNet(100 * time.Microsecond)
-		}
-		for i := 0; i < 200 && r.fromA.count() < n; i++ {
-			r.settleNet(300 * time.Millisecond)
-		}
-		if r.fromA.count() != n {
-			t.Fatalf("buffer=%v: delivered %d/%d", buffer, r.fromA.count(), n)
-		}
-		for i := 0; i < n; i++ {
-			if r.fromA.get(i)[0] != byte(i) {
-				t.Fatalf("buffer=%v: out of order at %d", buffer, i)
-			}
-		}
-		return r.a.Stats().Retransmits
+// TestReorderDeliversOnceInOrder runs a stream over a reordering network:
+// the window buffers early frames and releases them in order, so every
+// message arrives exactly once and in sequence.
+func TestReorderDeliversOnceInOrder(t *testing.T) {
+	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
+		w := layers.NewWindow()
+		w.Naks = true
+		return []stack.Layer{
+			layers.NewChksum(), layers.NewFrag(), w,
+			&layers.Ident{
+				Local: spec.LocalID, Remote: spec.RemoteID,
+				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
+				Epoch: spec.Epoch, Order: order,
+			},
+		}, nil
 	}
-	withBuf := run(true)
-	withoutBuf := run(false)
-	if withBuf >= withoutBuf {
-		t.Fatalf("buffering should reduce retransmissions: %d (buffered) vs %d (go-back-N)",
-			withBuf, withoutBuf)
+	r := newRig(t, netsim.Config{
+		Latency: 200 * time.Microsecond, ReorderRate: 0.4, Seed: 31,
+	}, func(cfgA, cfgB *Config) {
+		cfgA.Build = build
+		cfgB.Build = build
+	})
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := r.a.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		r.settleNet(100 * time.Microsecond)
 	}
-	t.Logf("retransmits: buffered=%d go-back-N=%d", withBuf, withoutBuf)
+	for i := 0; i < 200 && r.fromA.count() < n; i++ {
+		r.settleNet(300 * time.Millisecond)
+	}
+	if r.fromA.count() != n {
+		t.Fatalf("delivered %d/%d", r.fromA.count(), n)
+	}
+	for i := 0; i < n; i++ {
+		if r.fromA.get(i)[0] != byte(i) {
+			t.Fatalf("out of order at %d", i)
+		}
+	}
 }
 
 // TestEndpointConstructionErrors covers the configuration error paths.

@@ -98,6 +98,11 @@ type Group struct {
 	nextSeq  uint32 // sequencer only: next global sequence number
 	lastSeen uint32 // diagnostic: last sequenced number delivered
 
+	// Sequencer only: one goroutine broadcasts at a time, and frames that
+	// arrive meanwhile wait here for it (see sequenceAndBroadcast).
+	broadcasting bool
+	seqQueue     []queuedFrame
+
 	view   View
 	onView func(v View)
 
@@ -258,19 +263,49 @@ func (g *Group) sendTotalCtl(ctl byte, payload []byte) error {
 	return err
 }
 
+// queuedFrame is a frame waiting for the sequencer's broadcaster.
+type queuedFrame struct {
+	ctl     byte
+	origin  string
+	payload []byte
+}
+
 // sequenceAndBroadcast assigns the next global number and fans the
 // sequenced frame out to every member (origin included — it delivers at
 // the sequenced position like everyone else).
+//
+// One goroutine broadcasts at a time, numbering each frame as it goes
+// out, so every member's connection from the sequencer carries the frames
+// in number order. A call that finds a broadcast in progress — another
+// goroutine, or a delivery callback re-entering over a synchronous
+// transport — queues a copy of its frame for the broadcaster and returns.
 func (g *Group) sequenceAndBroadcast(ctl byte, origin string, payload []byte) {
 	g.mu.Lock()
-	seq := g.nextSeq
-	g.nextSeq++
-	g.stats.Sequenced++
-	g.mu.Unlock()
-	frame := getFrame(kindSequenced, ctl, origin, seq, payload)
-	_ = g.fanout(frame.b, "")
-	putFrame(frame)
-	g.deliverSequenced(ctl, origin, seq, payload) // sequencer's own delivery
+	if g.broadcasting {
+		g.seqQueue = append(g.seqQueue, queuedFrame{ctl, origin, append([]byte(nil), payload...)})
+		g.mu.Unlock()
+		return
+	}
+	g.broadcasting = true
+	for {
+		seq := g.nextSeq
+		g.nextSeq++
+		g.stats.Sequenced++
+		g.mu.Unlock()
+		frame := getFrame(kindSequenced, ctl, origin, seq, payload)
+		_ = g.fanout(frame.b, "")
+		putFrame(frame)
+		g.deliverSequenced(ctl, origin, seq, payload) // sequencer's own delivery
+		g.mu.Lock()
+		if len(g.seqQueue) == 0 {
+			g.broadcasting = false
+			g.mu.Unlock()
+			return
+		}
+		q := g.seqQueue[0]
+		g.seqQueue = append(g.seqQueue[:0], g.seqQueue[1:]...)
+		ctl, origin, payload = q.ctl, q.origin, q.payload
+	}
 }
 
 // lookupLocked finds a member's connection. Caller holds g.mu.

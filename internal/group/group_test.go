@@ -148,6 +148,45 @@ func TestTotalOrderIdenticalEverywhere(t *testing.T) {
 	}
 }
 
+// TestTotalOrderConcurrentSenders has every member send from its own
+// goroutine over the synchronous network, so the sequencer numbers frames
+// on several goroutines at once: every member must still deliver one
+// identical order.
+func TestTotalOrderConcurrentSenders(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	const perMember = 200
+	m, recs := meshWithRecorders(t, names, vclock.NewManual(t0), netsim.Config{}, Total, "a")
+	var wg sync.WaitGroup
+	for _, n := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perMember; i++ {
+				if err := m.Groups[n].Send([]byte(fmt.Sprintf("%s-%d", n, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := recs["a"].list()
+	if len(want) != perMember*len(names) {
+		t.Fatalf("sequencer delivered %d/%d", len(want), perMember*len(names))
+	}
+	for _, n := range names[1:] {
+		got := recs[n].list()
+		if len(got) != len(want) {
+			t.Fatalf("%s delivered %d, want %d", n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("order differs at %d: %s saw %q, sequencer %q", i, n, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestTotalOrderUnderLossAndReorder(t *testing.T) {
 	clk := vclock.NewManual(t0)
 	names := []string{"a", "b", "c"}

@@ -61,9 +61,6 @@ type Window struct {
 	// waiting for reverse traffic to piggyback on. 0 means
 	// DefaultDelayedAck.
 	DelayedAck time.Duration
-	// BufferOutOfOrder keeps early messages for in-order release
-	// instead of dropping them. Default false (set by NewWindow: true).
-	BufferOutOfOrder bool
 	// Naks requests an immediate retransmission when a gap is observed.
 	Naks bool
 	// AdaptiveRTO estimates the retransmission timeout from measured
@@ -134,10 +131,10 @@ type WindowStats struct {
 	ProbesReceived uint64 // peer resume probes answered
 }
 
-// NewWindow returns a window layer with the paper's defaults (16 entries)
-// and out-of-order buffering enabled.
+// NewWindow returns a window layer with the paper's defaults (16 entries).
+// Early frames are kept for in-order release, never dropped.
 func NewWindow() *Window {
-	return &Window{BufferOutOfOrder: true}
+	return &Window{}
 }
 
 // Name implements stack.Layer.
@@ -389,21 +386,13 @@ func (w *Window) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
 		})
 		return stack.Drop
 	default:
-		// Future frame: a gap exists.
-		if w.BufferOutOfOrder {
-			ctx.S.Defer(func() {
-				w.Stats.Futures++
-				w.processAck(ackVal)
-				w.storeFuture(seq, m)
-			})
-			return stack.Consume
-		}
+		// Future frame: a gap exists; keep it for in-order release.
 		ctx.S.Defer(func() {
 			w.Stats.Futures++
 			w.processAck(ackVal)
-			w.maybeNak(seq)
+			w.storeFuture(seq, m)
 		})
-		return stack.Drop
+		return stack.Consume
 	}
 }
 

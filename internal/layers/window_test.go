@@ -197,22 +197,6 @@ func TestWindowFutureBufferedAndReleased(t *testing.T) {
 	}
 }
 
-func TestWindowFutureWithoutBufferingDrops(t *testing.T) {
-	w := NewWindow()
-	w.BufferOutOfOrder = false
-	w.Naks = true
-	h := windowHarness(t, w)
-	f1, env1 := dataFrame(h, w, 3, 0, nil)
-	defer f1.Free()
-	if v, _ := h.st.PreDeliver(h.ctx(env1), f1); v != stack.Drop {
-		t.Fatal("future frame not dropped")
-	}
-	h.svc.runDeferred()
-	if w.Stats.NaksSent != 1 {
-		t.Fatalf("naks = %d", w.Stats.NaksSent)
-	}
-}
-
 func TestWindowNakTriggersResend(t *testing.T) {
 	w := NewWindow()
 	h := windowHarness(t, w)

@@ -1,6 +1,6 @@
 // Package udp adapts real UDP sockets to the same unreliable datagram
 // contract as package netsim, so the Protocol Accelerator can run between
-// OS processes (cmd/paping). UDP is the closest commodity stand-in for the
+// OS processes. UDP is the closest commodity stand-in for the
 // paper's U-Net interface: message-oriented, unreliable, unordered.
 //
 // On Linux (amd64/arm64) the transport is vectorized: SendBatch drains a

@@ -307,7 +307,8 @@ func NewSimNetwork(cfg SimConfig) *SimNetwork {
 }
 
 // ListenUDP opens a UDP transport, for accelerated connections between
-// real processes (see cmd/paping).
+// real processes (the bench's rt_udp_8b and stream_udp_8b workloads run it
+// over loopback).
 func ListenUDP(addr string) (*udp.Transport, error) { return udp.Listen(addr) }
 
 // ListenShardedUDP opens n SO_REUSEPORT UDP sockets on one port, each
