@@ -60,13 +60,13 @@ type postOp struct {
 }
 
 // sideState is the per-direction PA state of Table 3: operation mode, the
-// predicted headers, the prediction disable counter, the packet filter,
-// and (send side) the backlog of messages awaiting processing.
+// predicted headers, the prediction disable counter and (send side) the
+// backlog of messages awaiting processing. The side's packet filter is in
+// the connection's plan.
 type sideState struct {
 	mode    Mode
 	predict [header.NumClasses][]byte
 	disable int
-	prog    *filter.Program
 	backlog []*message.Msg
 
 	// pending is the FIFO of deferred post-processing; head indexes the
@@ -121,23 +121,16 @@ type Conn struct {
 	// guarded by mu (spec.Addr keeps the original for reference).
 	addr string
 
-	st     *stack.Stack
-	schema *header.Schema
-	ident  Identifier
-	// Secure-layer hooks, discovered structurally in newConn (nil without
-	// an encryption layer): aead backs the Seal/Open filter ops, resealer
-	// re-seals SendRaw replays sealed under a pre-rekey epoch, terminal
-	// turns nonce exhaustion into a hard (non-recoverable) failure.
-	aead     filter.AEAD
-	resealer resealerLayer
-	terminal terminalLayer
-	// identIdx is the identification layer's stack index; delivery
-	// verdicts issued above it (at < identIdx) passed identification,
-	// the safety gate for address migration.
-	identIdx int
+	st *stack.Stack
+	// plan is the compiled shape of st (plan.go), shared with every
+	// connection of that shape: schema, filter programs, header sizes,
+	// frame limit, the identification layer's index.
+	plan  *plan
+	ident Identifier
+	// seal is the encryption layer (nil without one), found in newConn.
+	seal sealer
 
-	order                    bits.ByteOrder
-	protoN, msgN, gosN, cidN int
+	order bits.ByteOrder
 
 	outCookie  uint64
 	needConnID bool // next outgoing message carries the identification
@@ -172,10 +165,6 @@ type Conn struct {
 	ctxFree     []*stack.Context // phase context pool
 	packScratch []byte           // packing header encode scratch
 	sizeScratch []int            // packed sub-size scratch
-
-	// usesTime caches whether any filter program consumes Env.Time, so
-	// the fast paths skip the per-message clock read otherwise.
-	usesTime bool
 
 	onDeliver func(payload []byte)
 	closed    bool
@@ -226,19 +215,16 @@ type releaseItem struct {
 	m    *message.Msg
 }
 
-// The engine discovers an encryption layer structurally, the same way it
-// hands out telemetry recorders: a layer that implements filter.AEAD is
-// installed into every pooled filter environment (backing the Seal/Open
-// filter ops); one that implements resealerLayer is given each frame
-// SendRaw retransmits, so replays of frames sealed before a rekey are
-// re-sealed under the current key; one that implements terminalLayer can
-// declare an unrecoverable error (nonce exhaustion) that hard-fails the
-// connection instead of riding the recovery engine.
-type resealerLayer interface {
+// sealer is an encryption layer's hook into the engine (*layers.Secure),
+// discovered structurally the same way telemetry recorders are handed out.
+// It is installed into every pooled filter environment, backing the
+// Seal/Open filter ops; it re-seals each frame SendRaw retransmits, so
+// replays of frames sealed before a rekey go out under the current key;
+// and it can declare an unrecoverable error (nonce exhaustion) that
+// hard-fails the connection instead of riding the recovery engine.
+type sealer interface {
+	filter.AEAD
 	Reseal(m *message.Msg) error
-}
-
-type terminalLayer interface {
 	TerminalErr() error
 }
 
@@ -251,40 +237,19 @@ func newConn(ep *Endpoint, spec PeerSpec) (*Conn, error) {
 		return nil, err
 	}
 	ls := st.Layers()
-	c := &Conn{ep: ep, spec: spec, addr: spec.Addr, st: st, order: ep.cfg.Order}
+	c := &Conn{ep: ep, spec: spec, addr: spec.Addr, st: st, plan: p, ident: identifier(st, p.identIdx), order: ep.cfg.Order}
 	seq := ep.connSeq.Add(1)
 	c.tel = ep.cfg.Telemetry
 	c.telShard = uint32(seq)
 	c.telMask = ep.cfg.telemetrySampleMask()
 	for _, l := range ls {
-		if id, ok := l.(Identifier); ok {
-			c.ident = id
-		}
-		if a, ok := l.(filter.AEAD); ok {
-			c.aead = a
-		}
-		if r, ok := l.(resealerLayer); ok {
-			c.resealer = r
-		}
-		if t, ok := l.(terminalLayer); ok {
-			c.terminal = t
+		if s, ok := l.(sealer); ok {
+			c.seal = s
 		}
 	}
-	if c.ident == nil {
-		return nil, fmt.Errorf("core: stack has no identification layer")
-	}
-	c.identIdx = st.Index(c.ident)
 	if c.recoveryOn() {
 		c.recoverRng = newRecoveryRng(ep, seq)
 	}
-
-	c.schema = p.schema
-	c.send.prog, c.recv.prog = p.send, p.recv
-	c.usesTime = p.usesTime
-	c.protoN = p.size[header.ProtoSpec]
-	c.msgN = p.size[header.MsgSpec]
-	c.gosN = p.size[header.Gossip]
-	c.cidN = p.size[header.ConnID]
 
 	n := 0
 	for _, sz := range p.size {
@@ -358,13 +323,17 @@ func (c *Conn) putCtx(x *stack.Context) {
 
 // getEnv returns a cleared filter environment from the connection pool.
 func (c *Conn) getEnv() *filter.Env {
+	var e *filter.Env
 	if n := len(c.envFree); n > 0 {
-		e := c.envFree[n-1]
+		e = c.envFree[n-1]
 		c.envFree = c.envFree[:n-1]
-		e.AEAD = c.aead
-		return e
+	} else {
+		e = &filter.Env{}
 	}
-	return &filter.Env{AEAD: c.aead}
+	if c.seal != nil {
+		e.AEAD = c.seal
+	}
+	return e
 }
 
 // putEnv recycles an environment once no queued op references it.
@@ -413,7 +382,7 @@ func (c *Conn) RemoteAddr() string {
 }
 
 // Schema exposes the compiled header schema (for reports).
-func (c *Conn) Schema() *header.Schema { return c.schema }
+func (c *Conn) Schema() *header.Schema { return c.plan.schema }
 
 // Stack exposes the protocol stack (for tests and introspection).
 func (c *Conn) Stack() *stack.Stack { return c.st }
@@ -487,8 +456,8 @@ func (c *Conn) sendLocked(m *message.Msg, block bool) error {
 		return nil
 	}
 	err := c.sendMsg(m, nil)
-	if err != nil && c.terminal != nil {
-		if terr := c.terminal.TerminalErr(); terr != nil {
+	if err != nil {
+		if terr := c.terminalErr(); terr != nil {
 			// The layer declared the failure unrecoverable (nonce space
 			// exhausted): recovery would rekey and mask the guard.
 			c.failLocked(terr)
@@ -496,6 +465,15 @@ func (c *Conn) sendLocked(m *message.Msg, block bool) error {
 		}
 	}
 	return err
+}
+
+// terminalErr is the encryption layer's unrecoverable error (nonce space
+// exhausted) once it has declared one; nil otherwise or without one.
+func (c *Conn) terminalErr() error {
+	if c.seal == nil {
+		return nil
+	}
+	return c.seal.TerminalErr()
 }
 
 // gate is the state check an entry into the connection runs first.
@@ -609,9 +587,10 @@ func (c *Conn) sendMsg(m *message.Msg, sizes []int) error {
 		c.packScratch = encodePacking(c.packScratch[:0], sizes)
 		m.PushBytes(c.packScratch)
 	}
-	gos := m.Push(c.gosN)
-	msgRegion := m.Push(c.msgN)
-	proto := m.Push(c.protoN)
+	size := &c.plan.size
+	gos := m.Push(size[header.Gossip])
+	msgRegion := m.Push(size[header.MsgSpec])
+	proto := m.Push(size[header.ProtoSpec])
 
 	// Fast path: copy the predicted headers over the regions, then let
 	// the send packet filter fill in the message-specific information.
@@ -627,7 +606,7 @@ func (c *Conn) sendMsg(m *message.Msg, sizes []int) error {
 	env.Hdr[header.MsgSpec] = msgRegion
 	env.Hdr[header.Gossip] = gos
 
-	switch status := c.send.prog.Run(env); {
+	switch status := c.plan.send.Run(env); {
 	case status == filter.StatusOK:
 		c.transmit(m)
 		c.stats.FastSends++
@@ -711,7 +690,7 @@ func (c *Conn) transmitAs(m *message.Msg, withCID bool) {
 		panic("core: preamble pop: " + err.Error())
 	}
 	if withCID {
-		if _, err := m.Pop(c.cidN); err != nil {
+		if _, err := m.Pop(c.plan.size[header.ConnID]); err != nil {
 			panic("core: conn-ident pop: " + err.Error())
 		}
 	}
@@ -893,7 +872,7 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 		return
 	}
 
-	if st := c.recv.prog.Run(env); st != filter.StatusOK {
+	if st := c.plan.recv.Run(env); st != filter.StatusOK {
 		// The delivery filter checks message-specific correctness;
 		// failures drop the message (checksum mismatch).
 		c.stats.Dropped++
@@ -932,7 +911,7 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 		// top, so any verdict issued above the identification layer
 		// (at < identIdx; Continue reports -1) means identification
 		// passed — replayed duplicates the window drops still migrate.
-		if cid != nil && src != "" && src != c.addr && at < c.identIdx {
+		if cid != nil && src != "" && src != c.addr && at < c.plan.identIdx {
 			c.addr = src
 			c.stats.PeerMigrations++
 			c.tel.Event(telemetry.EventMigration, c.outCookie, "peer address migrated to "+src)
@@ -995,7 +974,8 @@ func (c *Conn) queueApp(payload []byte) {
 // been recycled.
 func (c *Conn) parseWire(m *message.Msg, cid []byte, order bits.ByteOrder) (*filter.Env, []int, error) {
 	b := m.Bytes()
-	fixed := c.protoN + c.msgN + c.gosN
+	protoN, msgN := c.plan.size[header.ProtoSpec], c.plan.size[header.MsgSpec]
+	fixed := protoN + msgN + c.plan.size[header.Gossip]
 	if len(b) < fixed+1 {
 		return nil, nil, fmt.Errorf("core: short message: %d bytes", len(b))
 	}
@@ -1011,9 +991,9 @@ func (c *Conn) parseWire(m *message.Msg, cid []byte, order bits.ByteOrder) (*fil
 	env.Order = order
 	env.Time = c.envTime()
 	env.Hdr[header.ConnID] = cid
-	env.Hdr[header.ProtoSpec] = b[:c.protoN]
-	env.Hdr[header.MsgSpec] = b[c.protoN : c.protoN+c.msgN]
-	env.Hdr[header.Gossip] = b[c.protoN+c.msgN : fixed]
+	env.Hdr[header.ProtoSpec] = b[:protoN]
+	env.Hdr[header.MsgSpec] = b[protoN : protoN+msgN]
+	env.Hdr[header.Gossip] = b[protoN+msgN : fixed]
 	env.Payload = payload
 	return env, sizes, nil
 }
@@ -1186,15 +1166,15 @@ func (c *Conn) Flush() {
 // c.mu; prediction must be enabled and no post-processing pending —
 // settle reaches it only once both queues are empty, so the window has
 // advanced past the previous send. Batches are bounded by count and by
-// total payload bytes: a packed message must stay under the
-// fragmentation threshold, or splitting it would destroy the packing
-// structure.
+// total payload bytes: a packed message must stay under the stack's
+// declared frame limit (the fragmentation threshold, plan.maxPayload), or
+// splitting it would destroy the packing structure.
 func (c *Conn) kickBacklog() {
 	n := len(c.send.backlog)
 	if n > c.ep.maxPack {
 		n = c.ep.maxPack
 	}
-	maxBytes := c.ep.cfg.maxPackBytes()
+	maxBytes := c.plan.maxPayload
 	total := 0
 	fit := 0
 	for fit < n {
@@ -1238,6 +1218,20 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.teardownLocked()
+	c.send.pending, c.send.head = nil, 0
+	c.recv.pending, c.recv.head = nil, 0
+	c.tel.Event(telemetry.EventState, c.outCookie, "closed")
+	c.mu.Unlock()
+	c.ep.removeConn(c)
+	return nil
+}
+
+// teardownLocked is the one teardown, shared by Close and failLocked: the
+// dead-peer and recovery timers stopped, every layer that holds resources
+// (io.Closer) closed, the backlog and the release queue freed, blocked
+// senders woken. Caller holds c.mu.
+func (c *Conn) teardownLocked() {
 	c.stopSupervision()
 	c.cancelRecoveryLocked()
 	for _, l := range c.st.Layers() {
@@ -1253,13 +1247,7 @@ func (c *Conn) Close() error {
 		it.m.Free()
 	}
 	c.deliverQ = nil
-	c.send.pending, c.send.head = nil, 0
-	c.recv.pending, c.recv.head = nil, 0
 	c.wakeBlocked()
-	c.tel.Event(telemetry.EventState, c.outCookie, "closed")
-	c.mu.Unlock()
-	c.ep.removeConn(c)
-	return nil
 }
 
 func (c *Conn) nowMicros() uint64 {
@@ -1270,7 +1258,7 @@ func (c *Conn) nowMicros() uint64 {
 // program consumes the timestamp (Program.UsesTime) — a clock read per
 // message is measurable on the fast paths.
 func (c *Conn) envTime() uint64 {
-	if !c.usesTime {
+	if !c.plan.usesTime {
 		return 0
 	}
 	return c.nowMicros()
@@ -1360,9 +1348,10 @@ func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlO
 		return c.failCause
 	}
 	m.Push(1)[0] = packSingle
-	gos := m.Push(c.gosN)
-	msgRegion := m.Push(c.msgN)
-	proto := m.Push(c.protoN)
+	size := &c.plan.size
+	gos := m.Push(size[header.Gossip])
+	msgRegion := m.Push(size[header.MsgSpec])
+	proto := m.Push(size[header.ProtoSpec])
 	env := c.getEnv()
 	env.Payload = m.Payload()
 	env.Order = c.order
@@ -1380,7 +1369,7 @@ func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlO
 		m.Free()
 		return fmt.Errorf("core: control message rejected below %s", from.Name())
 	}
-	if st := c.send.prog.Run(env); st != filter.StatusOK {
+	if st := c.plan.send.Run(env); st != filter.StatusOK {
 		c.putCtx(ctx)
 		c.putEnv(env)
 		m.Free()
@@ -1408,16 +1397,14 @@ func (c *Conn) SendRaw(m *message.Msg, includeConnID bool) error {
 	if c.failCause != nil {
 		return c.failCause
 	}
-	if c.resealer != nil {
-		if err := c.resealer.Reseal(m); err != nil {
-			if c.terminal != nil {
-				if terr := c.terminal.TerminalErr(); terr != nil {
-					// Not failed here: SendRaw runs inside a layer (the
-					// window's resend loop), which must not have its
-					// layers closed under it. The next Send surfaces the
-					// terminal error and fails the connection.
-					return terr
-				}
+	if c.seal != nil {
+		if err := c.seal.Reseal(m); err != nil {
+			if terr := c.terminalErr(); terr != nil {
+				// Not failed here: SendRaw runs inside a layer (the
+				// window's resend loop), which must not have its layers
+				// closed under it. The next Send surfaces the terminal
+				// error and fails the connection.
+				return terr
 			}
 			return err
 		}
@@ -1457,7 +1444,7 @@ func (c *Conn) DebugString() string {
 		fmt.Fprintf(&b, "           predicted proto-spec %x  gossip %x\n",
 			s.predict[header.ProtoSpec], s.predict[header.Gossip])
 	}
-	side("send", &c.send, c.send.prog.Len())
-	side("recv", &c.recv, c.recv.prog.Len())
+	side("send", &c.send, c.plan.send.Len())
+	side("recv", &c.recv, c.plan.recv.Len())
 	return b.String()
 }

@@ -1071,35 +1071,60 @@ func TestPackedBatchesRespectFragThreshold(t *testing.T) {
 	// Regression for a bug found at streaming scale: the packer must
 	// never build a packed message that the fragmentation layer would
 	// split, or reassembly loses the packing structure and N messages
-	// arrive as one. 1 KB messages, default 8000-byte threshold: at
-	// most 7 per batch.
-	r := newRig(t, netsim.Config{Latency: 500 * time.Microsecond, MTU: 64 << 10}, nil)
-	const n = 120
-	payload := bytes.Repeat([]byte{0x5A}, 1024)
-	for i := 0; i < n; i++ {
-		p := append([]byte(nil), payload...)
-		p[0] = byte(i)
-		if err := r.a.Send(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200 && r.fromA.count() < n; i++ {
-		r.settleNet(50 * time.Millisecond)
-	}
-	if r.fromA.count() != n {
-		t.Fatalf("delivered %d/%d (packing structure lost?)", r.fromA.count(), n)
-	}
-	for i := 0; i < n; i++ {
-		m := r.fromA.get(i)
-		if len(m) != 1024 || m[0] != byte(i) {
-			t.Fatalf("message %d corrupted: len=%d", i, len(m))
-		}
-	}
-	st := r.a.Stats()
-	if st.PackedBatches == 0 {
-		t.Fatal("no packing happened; test lost its purpose")
-	}
-	if avg := float64(st.PackedMsgs) / float64(st.PackedBatches); avg > 7.01 {
-		t.Fatalf("average batch %.1f × 1 KB exceeds the 8000-byte bound", avg)
+	// arrive as one. The bound is the threshold the stack's Frag layer
+	// declares: 1 KB messages fit 7 to a batch under the default 8000
+	// bytes, 2 under a 2048-byte threshold.
+	for _, tc := range []struct {
+		name      string
+		threshold int // 0: DefaultStack
+		maxBatch  int
+	}{
+		{"default", 0, 7},
+		{"threshold-2048", 2048, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mod func(cfgA, cfgB *Config)
+			if tc.threshold > 0 {
+				mod = func(cfgA, cfgB *Config) {
+					build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
+						ls, err := DefaultStack(spec, order)
+						if err == nil {
+							ls[1] = &layers.Frag{Threshold: tc.threshold}
+						}
+						return ls, err
+					}
+					cfgA.Build, cfgB.Build = build, build
+				}
+			}
+			r := newRig(t, netsim.Config{Latency: 500 * time.Microsecond, MTU: 64 << 10}, mod)
+			const n = 120
+			payload := bytes.Repeat([]byte{0x5A}, 1024)
+			for i := 0; i < n; i++ {
+				p := append([]byte(nil), payload...)
+				p[0] = byte(i)
+				if err := r.a.Send(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 200 && r.fromA.count() < n; i++ {
+				r.settleNet(50 * time.Millisecond)
+			}
+			if r.fromA.count() != n {
+				t.Fatalf("delivered %d/%d (packing structure lost?)", r.fromA.count(), n)
+			}
+			for i := 0; i < n; i++ {
+				m := r.fromA.get(i)
+				if len(m) != 1024 || m[0] != byte(i) {
+					t.Fatalf("message %d corrupted: len=%d", i, len(m))
+				}
+			}
+			st := r.a.Stats()
+			if st.PackedBatches == 0 {
+				t.Fatal("no packing happened; test lost its purpose")
+			}
+			if avg := float64(st.PackedMsgs) / float64(st.PackedBatches); avg > float64(tc.maxBatch)+0.01 {
+				t.Fatalf("average batch %.1f × 1 KB exceeds the %d-message bound", avg, tc.maxBatch)
+			}
+		})
 	}
 }

@@ -440,14 +440,7 @@ func (ep *Endpoint) initTemplate() error {
 	if err != nil {
 		return err
 	}
-	for _, l := range st.Layers() {
-		if id, ok := l.(Identifier); ok {
-			ep.template = id
-		}
-	}
-	if ep.template == nil {
-		return errors.New("core: stack has no identification layer")
-	}
+	ep.template = identifier(st, p.identIdx)
 	ep.identSize = p.size[header.ConnID]
 	ep.plan.Store(p)
 	return nil

@@ -80,22 +80,6 @@ type Fanout struct {
 // current member count.
 const FanoutMembersGauge = "fanout/members"
 
-// TemplateStamper is optionally implemented by stack layers to declare
-// their relationship with externally-built templates. The fanout engine
-// builds one datagram and runs the send packet filter once for a whole
-// group; a layer is template-safe when every MsgSpec (message-specific)
-// field it registers is written by the send filter — never predicted —
-// and everything member-specific it owns rides the predicted ProtoSpec
-// or Gossip classes, which the stamping pass re-copies per member.
-// The engine treats layers that do not implement the interface as safe
-// (the built-in layers are — checksum and stamp fill MsgSpec by filter,
-// the window predicts ProtoSpec/Gossip) and additionally verifies at
-// stamp time that no layer has predicted MsgSpec bytes, falling back to
-// the full per-member send path for that member if one has.
-type TemplateStamper interface {
-	TemplateStampable() bool
-}
-
 // ErrFanoutMixedEndpoints is returned by NewFanout when a member
 // connection belongs to a different endpoint.
 var ErrFanoutMixedEndpoints = errors.New("core: fanout members must share one endpoint")
@@ -117,15 +101,10 @@ func NewFanout(ep *Endpoint, conns ...*Conn) (*Fanout, error) {
 }
 
 // Add registers a member connection. It must belong to the engine's
-// endpoint and its stack must not declare itself template-unsafe.
+// endpoint.
 func (f *Fanout) Add(c *Conn) error {
 	if c.ep != f.ep {
 		return ErrFanoutMixedEndpoints
-	}
-	for _, l := range c.st.Layers() {
-		if ts, ok := l.(TemplateStamper); ok && !ts.TemplateStampable() {
-			return fmt.Errorf("core: fanout: layer %s is not template-stampable", l.Name())
-		}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -205,11 +184,13 @@ func (f *Fanout) Send(payload []byte) error {
 		f.telEnd(t0)
 		return err
 	}
+	size := &tc.plan.size
+	protoN, msgN, gosN := size[header.ProtoSpec], size[header.MsgSpec], size[header.Gossip]
 	tmpl := message.New(payload)
 	tmpl.Push(1)[0] = packSingle
-	gos := tmpl.Push(tc.gosN)
-	msgRegion := tmpl.Push(tc.msgN)
-	proto := tmpl.Push(tc.protoN)
+	gos := tmpl.Push(gosN)
+	msgRegion := tmpl.Push(msgN)
+	proto := tmpl.Push(protoN)
 
 	f.tenv = filter.Env{}
 	f.tenv.Payload = tmpl.Payload()
@@ -219,7 +200,7 @@ func (f *Fanout) Send(payload []byte) error {
 	f.tenv.Hdr[header.MsgSpec] = msgRegion
 	f.tenv.Hdr[header.Gossip] = gos
 
-	if status := tc.send.prog.Run(&f.tenv); status != filter.StatusOK {
+	if status := tc.plan.send.Run(&f.tenv); status != filter.StatusOK {
 		// The filter wants the slow path for this shape (an over-threshold
 		// payload headed for fragmentation): no shared template exists, so
 		// every member takes its own full send.
@@ -231,8 +212,8 @@ func (f *Fanout) Send(payload []byte) error {
 	}
 
 	protoOff := 0
-	msgOff := tc.protoN
-	gosOff := tc.protoN + tc.msgN
+	msgOff := protoN
+	gosOff := protoN + msgN
 
 	// Stamp pass: per member, entered like any other operation (so its
 	// prediction is current, §3.1) — clone the template and overwrite
@@ -246,15 +227,16 @@ func (f *Fanout) Send(payload []byte) error {
 			continue
 		}
 		if c.send.disable > 0 || len(c.send.backlog) > 0 || !allZero(c.send.predict[header.MsgSpec]) ||
-			c.send.prog != tc.send.prog {
+			c.plan != tc.plan {
 			// A closed window or a waiting backlog: the payload joins
 			// this member's backlog, exactly as a direct Send would — a
 			// full backlog is backpressure for this member only. Or a
 			// layer has predicted message-specific bytes, so the
 			// template's filter-filled MsgSpec is not valid for this
-			// member (see TemplateStamper). Or the member runs another
-			// plan than the template's, whose geometry may differ.
-			// Either way: the direct path.
+			// member: a template is member-neutral only where every
+			// message-specific field is filter-written, never predicted.
+			// Or the member runs another plan than the template's, whose
+			// geometry may differ. Either way: the direct path.
 			err := c.sendLocked(message.New(payload), false)
 			c.exit()
 			if err != nil {
@@ -265,16 +247,16 @@ func (f *Fanout) Send(payload []byte) error {
 
 		m := tmpl.Clone()
 		b := m.Bytes()
-		copy(b[protoOff:protoOff+tc.protoN], c.send.predict[header.ProtoSpec])
-		copy(b[gosOff:gosOff+tc.gosN], c.send.predict[header.Gossip])
+		copy(b[protoOff:protoOff+protoN], c.send.predict[header.ProtoSpec])
+		copy(b[gosOff:gosOff+gosN], c.send.predict[header.Gossip])
 
 		env := c.getEnv()
 		env.Payload = m.Payload()
 		env.Order = c.order
 		env.Time = f.tenv.Time
-		env.Hdr[header.ProtoSpec] = b[protoOff : protoOff+tc.protoN]
-		env.Hdr[header.MsgSpec] = b[msgOff : msgOff+tc.msgN]
-		env.Hdr[header.Gossip] = b[gosOff : gosOff+tc.gosN]
+		env.Hdr[header.ProtoSpec] = b[protoOff : protoOff+protoN]
+		env.Hdr[header.MsgSpec] = b[msgOff : msgOff+msgN]
+		env.Hdr[header.Gossip] = b[gosOff : gosOff+gosN]
 
 		c.stats.Sent++
 		c.stats.FastSends++

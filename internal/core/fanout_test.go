@@ -355,44 +355,6 @@ func TestFanoutRejectsMixedEndpoints(t *testing.T) {
 	}
 }
 
-// notStampable wraps a layer and declares it template-unsafe.
-type notStampable struct{ *layers.Chksum }
-
-func (notStampable) TemplateStampable() bool { return false }
-
-// TestFanoutRejectsUnstampableLayer checks a stack that declares itself
-// template-unsafe is refused at Add time.
-func TestFanoutRejectsUnstampableLayer(t *testing.T) {
-	net := netsim.New(vclock.NewManual(t0), netsim.Config{})
-	ep, err := NewEndpoint(Config{
-		Transport: net.Endpoint("A"),
-		Build: func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-			return []stack.Layer{
-				notStampable{layers.NewChksum()},
-				layers.NewFrag(),
-				&layers.Ident{
-					Local: spec.LocalID, Remote: spec.RemoteID,
-					LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-					Epoch: spec.Epoch, Order: order,
-				},
-			}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	c, err := ep.Dial(PeerSpec{Addr: "B", LocalID: []byte("a"), RemoteID: []byte("b"),
-		LocalPort: 1, RemotePort: 2, Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFanout(ep, c); err == nil ||
-		!strings.Contains(err.Error(), "not template-stampable") {
-		t.Fatalf("NewFanout with unstampable layer: err = %v", err)
-	}
-}
-
 // TestFanoutMixedShapes checks a fanout over members of two stack shapes:
 // the template is built from the first member's plan, so a member of the
 // other shape must take its own full send rather than a clone stamped at
@@ -440,7 +402,7 @@ func TestFanoutMixedShapes(t *testing.T) {
 		peers = append(peers, mc)
 		sinks = append(sinks, sk)
 	}
-	if conns[0].send.prog == conns[1].send.prog {
+	if conns[0].plan == conns[1].plan {
 		t.Fatal("the two shapes share a send program")
 	}
 	f, err := NewFanout(hub, conns...)

@@ -492,6 +492,24 @@ func TestEndpointConstructionErrors(t *testing.T) {
 	if _, err := NewEndpoint(Config{Transport: net.Endpoint("A"), Clock: clk, Build: noIdent}); err == nil {
 		t.Fatal("identification-free stack accepted")
 	}
+	// A dial whose stack has the plan's shape but hides its identification
+	// layer behind a plain stack.Layer is refused, not routed by a nil
+	// Identifier: replay rejects it, and the recompile finds no layer.
+	hidden := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
+		ls, err := DefaultStack(spec, order)
+		if err == nil && spec.Epoch == 1 {
+			ls[3] = struct{ stack.Layer }{ls[3]}
+		}
+		return ls, err
+	}
+	epHidden, err := NewEndpoint(Config{Transport: net.Endpoint("E"), Clock: clk, Build: hidden})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epHidden.Close()
+	if _, err := epHidden.Dial(PeerSpec{Addr: "F", LocalID: []byte("x"), RemoteID: []byte("y"), Epoch: 1}); err == nil {
+		t.Fatal("stack without an identification layer dialled")
+	}
 	// A builder error propagates.
 	failing := func(PeerSpec, bits.ByteOrder) ([]stack.Layer, error) {
 		return nil, fmt.Errorf("boom")

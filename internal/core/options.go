@@ -242,11 +242,6 @@ type Config struct {
 	// identified message, which re-learns the cookie (§2.2). Pre-agreed
 	// cookies (PeerSpec.ExpectInCookie) are never evicted. 0 disables.
 	CookieTTL time.Duration
-	// MaxPackBytes bounds a packed message's total payload; it must not
-	// exceed the stack's fragmentation threshold, or the fragmenter
-	// would split the packed message and reassembly would lose the
-	// packing structure. 0 means layers.DefaultFragThreshold.
-	MaxPackBytes int
 	// Telemetry, if non-nil, receives latency histograms for the
 	// critical-path operations (send pre-processing, post-processing,
 	// delivery, batch flushes, recovery probes) and structured
@@ -296,13 +291,6 @@ func (c *Config) maxConns() int {
 	return c.MaxConns
 }
 
-func (c *Config) maxPackBytes() int {
-	if c.MaxPackBytes <= 0 {
-		return layers.DefaultFragThreshold
-	}
-	return c.MaxPackBytes
-}
-
 const (
 	// gcSweepBudget bounds how many routing-table slots one CookieTTL GC
 	// sweep examines; larger tables are covered by proportionally more
@@ -310,7 +298,8 @@ const (
 	// bounded at any table size.
 	gcSweepBudget = 4096
 	// maxPack bounds how many messages one packed message may carry (the
-	// count half of the §3.4 bound; Config.MaxPackBytes is the byte half).
+	// count half of the §3.4 bound; the stack's declared frame limit,
+	// plan.maxPayload, is the byte half).
 	maxPack = 64
 )
 

@@ -1,27 +1,42 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"paccel/internal/filter"
 	"paccel/internal/header"
+	"paccel/internal/layers"
 	"paccel/internal/stack"
 )
 
 // plan is everything about a connection that depends only on the shape of
 // its stack — which layers, registering which fields and emitting which
 // filter instructions — and not on the peer: the compiled header schema,
-// the two packet filter programs, the four class header sizes and whether
-// the filters read the clock. The paper does this work when a stack is
-// built (§2.1, §3.3); an endpoint does it once and every connection of
-// that shape shares the result (Endpoint.plan). A plan is immutable:
-// nothing writes to it, its schema or its programs after compilePlan
-// returns.
+// the two packet filter programs, the four class header sizes, whether
+// the filters read the clock, the largest payload a frame may carry and
+// where the identification layer sits. The paper does this work when a
+// stack is built (§2.1, §3.3); an endpoint does it once and every
+// connection of that shape shares the result (Endpoint.plan and
+// Conn.plan). It is the one place core learns what a stack's layers
+// declare, so no copy of a layer fact can drift from the layer. A plan is
+// immutable: nothing writes to it, its schema or its programs after
+// compilePlan returns.
 type plan struct {
 	schema     *header.Schema
 	send, recv *filter.Program
 	size       [header.NumClasses]int
 	usesTime   bool
+	// maxPayload bounds one frame's payload: the limit a layer declared
+	// at Init (stack.InitContext.MaxPayload — the fragmentation
+	// threshold), else layers.DefaultFragThreshold. A packed message
+	// must stay under it, or the fragmenter would split it and
+	// reassembly would lose the packing structure (§3.4).
+	maxPayload int
+	// identIdx is the identification layer's stack index; delivery
+	// verdicts issued above it (at < identIdx) passed identification,
+	// the safety gate for address migration.
+	identIdx int
 }
 
 // compilePlan builds the stack for spec and compiles its shape — the one
@@ -34,11 +49,21 @@ func (ep *Endpoint) compilePlan(spec PeerSpec) (*plan, *stack.Stack, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &plan{schema: header.New()}
+	p := &plan{schema: header.New(), identIdx: -1}
+	for i := range st.Layers() {
+		if identifier(st, i) != nil {
+			p.identIdx = i
+		}
+	}
+	if p.identIdx < 0 {
+		return nil, nil, errors.New("core: stack has no identification layer")
+	}
 	sb, rb := filter.NewBuilder(), filter.NewBuilder()
-	if err := st.Init(&stack.InitContext{Schema: p.schema, SendFilter: sb, RecvFilter: rb}); err != nil {
+	ic := &stack.InitContext{Schema: p.schema, SendFilter: sb, RecvFilter: rb}
+	if err := st.Init(ic); err != nil {
 		return nil, nil, err
 	}
+	p.maxPayload = resolveMaxPayload(ic.MaxPayload)
 	if err := p.schema.Compile(); err != nil {
 		return nil, nil, err
 	}
@@ -55,6 +80,26 @@ func (ep *Endpoint) compilePlan(spec PeerSpec) (*plan, *stack.Stack, error) {
 	return p, st, nil
 }
 
+// resolveMaxPayload is the frame limit a stack declared, or the default
+// fragmentation threshold when no layer declared one.
+func resolveMaxPayload(declared int) int {
+	if declared <= 0 {
+		return layers.DefaultFragThreshold
+	}
+	return declared
+}
+
+// identifier returns st's layer i if it is an identification layer, else
+// nil — the one place core looks for the Identifier interface.
+func identifier(st *stack.Stack, i int) Identifier {
+	ls := st.Layers()
+	if i < 0 || i >= len(ls) {
+		return nil
+	}
+	id, _ := ls[i].(Identifier)
+	return id
+}
+
 // buildStack runs the endpoint's StackBuilder for spec.
 func (ep *Endpoint) buildStack(spec PeerSpec) (*stack.Stack, error) {
 	ls, err := ep.cfg.build()(spec, ep.cfg.Order)
@@ -69,13 +114,21 @@ func (ep *Endpoint) buildStack(spec PeerSpec) (*stack.Stack, error) {
 // replay view that hands back the plan's handles, and the filter builders
 // only verify that the emitted instructions are the plan's programs. It
 // reports an error if st is not of the plan's shape in any respect — a
-// field, a constant, a longer or shorter stream — in which case the layers
-// are half-initialized and must be discarded.
+// field, a constant, a longer or shorter stream, the declared frame limit,
+// the identification layer's place — in which case the layers are
+// half-initialized and must be discarded.
 func (p *plan) replay(st *stack.Stack) error {
+	if identifier(st, p.identIdx) == nil {
+		return errors.New("core: identification layer not where the plan has it")
+	}
 	view := p.schema.Replay()
 	sb, rb := p.send.Verifier(), p.recv.Verifier()
-	if err := st.Init(&stack.InitContext{Schema: view, SendFilter: sb, RecvFilter: rb}); err != nil {
+	ic := &stack.InitContext{Schema: view, SendFilter: sb, RecvFilter: rb}
+	if err := st.Init(ic); err != nil {
 		return err
+	}
+	if resolveMaxPayload(ic.MaxPayload) != p.maxPayload {
+		return errors.New("core: frame limit differs from the plan's")
 	}
 	if err := view.Replayed(); err != nil {
 		return err

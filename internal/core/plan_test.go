@@ -90,11 +90,11 @@ func TestPlanFollowsTheShape(t *testing.T) {
 			if got := c.Schema().TotalSize(); got != wantSize {
 				t.Fatalf("epoch %d: headers are %d bytes, want %d", epoch, got, wantSize)
 			}
-			if asm := c.send.prog.Disassemble(); !strings.Contains(asm, fmt.Sprintf("push.const %d\n", wantConst)) {
+			if asm := c.plan.send.Disassemble(); !strings.Contains(asm, fmt.Sprintf("push.const %d\n", wantConst)) {
 				t.Fatalf("epoch %d: send program lacks the shape's frag threshold %d:\n%s", epoch, wantConst, asm)
 			}
-			if c.usesTime != shapeB {
-				t.Fatalf("epoch %d: usesTime = %t", epoch, c.usesTime)
+			if c.plan.usesTime != shapeB {
+				t.Fatalf("epoch %d: usesTime = %t", epoch, c.plan.usesTime)
 			}
 		}
 		if prev != nil && prev.Schema() == a.Schema() {
@@ -111,11 +111,11 @@ func TestPlanFollowsTheShape(t *testing.T) {
 	// Same shape twice in a row: the second dial replays the first's plan.
 	a1, _ := dialPair(10)
 	a2, _ := dialPair(12)
-	if a1.Schema() != a2.Schema() || a1.send.prog != a2.send.prog || a1.recv.prog != a2.recv.prog {
+	if a1.plan != a2.plan {
 		t.Fatal("consecutive dials of one shape compiled separate plans")
 	}
-	if a1.Schema() != eps[0].plan.Load().schema {
-		t.Fatal("the shared schema is not the endpoint's plan")
+	if a1.plan != eps[0].plan.Load() {
+		t.Fatal("the shared plan is not the endpoint's")
 	}
 }
 

@@ -25,9 +25,9 @@ func windowSeq(t *testing.T, c *Conn, wire []byte) (seq uint32, data bool) {
 	}
 	off := PreambleSize
 	if pre.ConnIDPresent {
-		off += c.cidN
+		off += c.plan.size[header.ConnID]
 	}
-	proto := wire[off : off+c.protoN]
+	proto := wire[off : off+c.plan.size[header.ProtoSpec]]
 	var seqF, typF header.Handle
 	for _, f := range c.Schema().Fields() {
 		if f.Layer() == "window" && f.Name() == "seq" {

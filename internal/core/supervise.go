@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"paccel/internal/telemetry"
@@ -123,28 +122,13 @@ func (c *Conn) failOrRecoverLocked(cause error) {
 // state settles before the layers shut down); exit flushes what it
 // queued and then runs OnConnFail. Returns the stored error.
 func (c *Conn) failLocked(cause error) error {
-	c.cancelRecoveryLocked()
 	if cause == nil {
 		c.failCause = ErrConnFailed
 	} else {
 		c.failCause = fmt.Errorf("%w: %w", ErrConnFailed, cause)
 	}
 	c.tel.Event(telemetry.EventState, c.outCookie, c.failCause.Error())
-	c.stopSupervision()
-	for _, l := range c.st.Layers() {
-		if cl, ok := l.(io.Closer); ok {
-			cl.Close()
-		}
-	}
-	for _, m := range c.send.backlog {
-		m.Free()
-	}
-	c.send.backlog = nil
-	for _, it := range c.deliverQ {
-		it.m.Free()
-	}
-	c.deliverQ = nil
-	c.wakeBlocked()
+	c.teardownLocked()
 	err := c.failCause
 	if cb := c.ep.cfg.OnConnFail; cb != nil {
 		c.notify = append(c.notify, func() { cb(c, err) })

@@ -28,13 +28,19 @@ import (
 // detection with automatic recovery needs a liveness source, or an idle
 // healed connection would legitimately trip ErrPeerSilent again.
 func RecoveryStack(rto time.Duration) core.StackBuilder {
+	return recoveryStack(rto, layers.DefaultFragThreshold)
+}
+
+// recoveryStack is RecoveryStack with the given fragmentation threshold,
+// which is also the largest payload the engine packs into one frame.
+func recoveryStack(rto time.Duration, fragThreshold int) core.StackBuilder {
 	return func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
 		w := layers.NewWindow()
 		w.RetransTimeout = rto
 		w.Naks = true
 		return []stack.Layer{
 			layers.NewChksum(),
-			layers.NewFrag(),
+			&layers.Frag{Threshold: fragThreshold},
 			w,
 			&layers.Heartbeat{
 				Interval: 100 * time.Millisecond,

@@ -179,7 +179,6 @@ type Transport struct {
 	rng         *rand.Rand
 	rules       []*ruleState
 	partitioned map[string]bool
-	allDown     bool
 	stalled     []stalledDatagram
 	handler     func(src string, datagram []byte)
 	closed      bool
@@ -262,25 +261,11 @@ func (t *Transport) currentInner() Inner {
 	return t.inner
 }
 
-// AddRule appends a rule to the plan at runtime.
-func (t *Transport) AddRule(r Rule) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rules = append(t.rules, &ruleState{Rule: r})
-}
-
 // SetPartitioned cuts (or heals) both directions to one peer.
 func (t *Transport) SetPartitioned(peer string, down bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.partitioned[peer] = down
-}
-
-// PartitionAll cuts (or heals) both directions to every peer.
-func (t *Transport) PartitionAll(down bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.allDown = down
 }
 
 // Stats returns a snapshot of the fault counters.
@@ -334,7 +319,7 @@ func (t *Transport) StalledCount() int {
 // decide evaluates the plan for one datagram under t.mu and returns the
 // fault to apply, if any. All rng draws happen here, in arrival order.
 func (t *Transport) decide(dir Direction, peer string, size int) action {
-	if t.allDown || t.partitioned[peer] {
+	if t.partitioned[peer] {
 		t.stats.PartitionDropped++
 		t.tel.Event(telemetry.EventFault, 0, causePartitionDrop)
 		return action{kind: Drop, fired: true}

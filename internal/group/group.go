@@ -205,14 +205,6 @@ func (g *Group) Stats() Stats {
 	return g.stats
 }
 
-// LastSequenced returns the last global sequence number delivered (Total
-// order).
-func (g *Group) LastSequenced() uint32 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.lastSeen
-}
-
 // Send multicasts payload to the group, including local delivery to this
 // member, under the configured ordering.
 func (g *Group) Send(payload []byte) error {

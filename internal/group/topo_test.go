@@ -23,7 +23,9 @@ func topoGroupStack(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, er
 	w.Naks = true
 	return []stack.Layer{
 		layers.NewChksum(),
-		layers.NewFrag(),
+		// The topology enforces a real MTU: frames, packed ones
+		// included, stay under it.
+		&layers.Frag{Threshold: 1200},
 		w,
 		&layers.Heartbeat{
 			Interval: 100 * time.Millisecond,
@@ -102,8 +104,7 @@ func TestTotalOrderGroupOverTopoNATRebind(t *testing.T) {
 	for _, name := range names {
 		ep, err := core.NewEndpoint(core.Config{
 			Transport: hosts[name], Clock: clk, Build: topoGroupStack,
-			PeerTimeout:  500 * time.Millisecond,
-			MaxPackBytes: 1200,
+			PeerTimeout: 500 * time.Millisecond,
 			Recovery: core.RecoveryConfig{
 				MaxAttempts: 60,
 				BaseDelay:   100 * time.Millisecond,
@@ -162,7 +163,6 @@ func TestTotalOrderGroupOverTopoNATRebind(t *testing.T) {
 		groups[a].UseFanout(fan)
 	}
 
-	maxQueueDepth := 0
 	drive := func(d time.Duration) {
 		t.Helper()
 		deadline := clk.Now().Add(d)
@@ -173,11 +173,6 @@ func TestTotalOrderGroupOverTopoNATRebind(t *testing.T) {
 				}
 			}
 			clk.Advance(5 * time.Millisecond)
-			for _, router := range []string{"r1", "r2"} {
-				if depth, _ := n.QueueStats(router); depth > maxQueueDepth {
-					maxQueueDepth = depth
-				}
-			}
 		}
 	}
 	send := func(member string, lo, hi int) {
@@ -315,7 +310,7 @@ func TestTotalOrderGroupOverTopoNATRebind(t *testing.T) {
 	if st := n.NATStats("n1"); st.Rebinds == 0 {
 		t.Fatalf("NAT stats = %+v, want a rebind", st)
 	}
-	if maxQueueDepth < 2 {
-		t.Fatalf("bufferbloat link never queued (max depth %d)", maxQueueDepth)
+	if peak := max(n.PeakQueueDepth("r1", "r2"), n.PeakQueueDepth("r2", "r1")); peak < 2 {
+		t.Fatalf("bufferbloat link never queued (peak depth %d)", peak)
 	}
 }

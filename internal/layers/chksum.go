@@ -93,14 +93,6 @@ func (c *Chksum) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
 // PostDeliver implements stack.Layer; the layer is stateless.
 func (c *Chksum) PostDeliver(*stack.Context, *message.Msg) {}
 
-// TemplateStampable declares the layer safe for externally-built
-// templates (core.Fanout): its fields are message-specific — the length
-// and checksum digest only the payload, shared by every group member —
-// and are written exclusively by the send packet filter, never
-// predicted, so one filter pass over the template serves the whole
-// fanout.
-func (c *Chksum) TemplateStampable() bool { return true }
-
 func (c *Chksum) digestFunc() filter.DigestFunc {
 	if fn, ok := filter.DigestByID(c.Digest); ok {
 		return fn

@@ -47,7 +47,8 @@ func (f *Frag) threshold() int {
 	return f.Threshold
 }
 
-// Init registers the two fragment bits and the send-filter size check.
+// Init registers the two fragment bits and the send-filter size check,
+// and declares the threshold as the stack's frame limit.
 func (f *Frag) Init(ic *stack.InitContext) error {
 	var err error
 	if f.isFrag, err = ic.Schema.AddField(header.ProtoSpec, f.Name(), "isfrag", 1, header.DontCare); err != nil {
@@ -58,10 +59,14 @@ func (f *Frag) Init(ic *stack.InitContext) error {
 	}
 	// "The fragmentation/reassembly layer adds code to the send packet
 	// filter to reject messages over a certain size" (§6).
+	thr := f.threshold()
 	ic.SendFilter.PushSize()
-	ic.SendFilter.PushConst(int64(f.threshold()))
+	ic.SendFilter.PushConst(int64(thr))
 	ic.SendFilter.Arith(filter.Gt)
 	ic.SendFilter.Abort(filter.StatusSlow)
+	if ic.MaxPayload == 0 || thr < ic.MaxPayload {
+		ic.MaxPayload = thr
+	}
 	return nil
 }
 

@@ -232,14 +232,6 @@ func (s *Secure) PostDeliver(ctx *stack.Context, _ *message.Msg) {
 	s.nonce.Write(s.pRecv[header.ProtoSpec], s.order, n+1)
 }
 
-// TemplateStampable declares the layer's fields filter-written (the tag)
-// or identical across group members (flag, epoch, nonce predictions).
-// In practice core.Fanout detects the predicted sealed flag and routes
-// secure stacks through per-member sends — each member's ciphertext is
-// different — but the declaration keeps template builds safe for stacks
-// that share this layer's schema without its keys.
-func (s *Secure) TemplateStampable() bool { return true }
-
 // SetTelemetry implements the engine's structural telemetry hookup.
 func (s *Secure) SetTelemetry(r *telemetry.Recorder, cookie uint64, _ uint32) {
 	s.tel = r

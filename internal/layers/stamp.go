@@ -89,13 +89,6 @@ func (s *Stamp) PostDeliver(ctx *stack.Context, m *message.Msg) {
 	}
 }
 
-// TemplateStampable declares the layer safe for externally-built
-// templates (core.Fanout): the timestamp is message-specific, written
-// only by the send packet filter from the template's single Env.Time,
-// which the stamping pass shares across every member — all stamped
-// copies of one multicast carry the same send time, as they should.
-func (s *Stamp) TemplateStampable() bool { return true }
-
 // Mean returns the mean observed one-way latency and the sample count.
 func (s *Stamp) Mean() (time.Duration, uint64) {
 	if s.samples == 0 {

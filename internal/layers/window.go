@@ -321,17 +321,6 @@ func (w *Window) PostSend(ctx *stack.Context, m *message.Msg) {
 
 func (w *Window) inflight() uint32 { return w.nextSeq - w.ackedTo }
 
-// TemplateStampable declares the layer safe for externally-built
-// templates (core.Fanout): every field it owns is member-specific and
-// rides prediction — the next sequence number and frame type in
-// ProtoSpec, the piggybacked cumulative ack in Gossip — so the stamping
-// pass copying each member's predicted classes over the shared template
-// reproduces exactly what PreSend would have written, and PostSend
-// (which reads the sequence back from the stamped header, clones the
-// frame for retransmission, and advances this member's window) works on
-// a stamped clone identically to a directly-sent frame.
-func (w *Window) TemplateStampable() bool { return true }
-
 // PreDeliver classifies an incoming frame. All bookkeeping is deferred to
 // post-processing; the phase itself only reads.
 func (w *Window) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {

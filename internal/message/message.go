@@ -153,11 +153,6 @@ func (m *Msg) Peek(n int) ([]byte, error) {
 	return m.buf[m.start : m.start+n], nil
 }
 
-// Front returns the region between the current front and the payload: the
-// pushed headers. On the delivery path it is empty until headers are
-// pushed/popped appropriately.
-func (m *Msg) Front() []byte { return m.buf[m.start:m.data] }
-
 // Bytes returns the full wire image: pushed headers followed by payload.
 func (m *Msg) Bytes() []byte { return m.buf[m.start:m.end] }
 

@@ -27,7 +27,12 @@ func topoStack(rto time.Duration) core.StackBuilder {
 		w.Naks = true
 		return []stack.Layer{
 			layers.NewChksum(),
-			layers.NewFrag(),
+			// The topology enforces a real MTU; the default threshold
+			// (DefaultFragThreshold, 8000) assumes a fragmentation-
+			// friendly path and would hand the first hop frames — packed
+			// ones above all — it must refuse. Cap frames the way a
+			// path-MTU-aware deployment does.
+			&layers.Frag{Threshold: 1200},
 			w,
 			&layers.Heartbeat{
 				Interval: 100 * time.Millisecond,
@@ -71,12 +76,6 @@ func TestCoreOverTopoNATRebind(t *testing.T) {
 		return core.Config{
 			Transport: tr, Clock: clk, Build: topoStack(rto),
 			PeerTimeout: 500 * time.Millisecond,
-			// The topology enforces a real MTU; the packer's default
-			// budget (DefaultFragThreshold, 8000) assumes a
-			// fragmentation-friendly path and would hand the first hop
-			// datagrams it must refuse. Cap packed datagrams the way a
-			// path-MTU-aware deployment does.
-			MaxPackBytes: 1200,
 			Recovery: core.RecoveryConfig{
 				MaxAttempts: 60,
 				BaseDelay:   100 * time.Millisecond,

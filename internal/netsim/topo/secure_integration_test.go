@@ -22,7 +22,7 @@ func secureTopoStack(key []byte, rto time.Duration) core.StackBuilder {
 		w.RetransTimeout = rto
 		w.Naks = true
 		return []stack.Layer{
-			layers.NewFrag(),
+			&layers.Frag{Threshold: 1200}, // under the topology's MTU
 			layers.NewSecure(key, spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort),
 			w,
 			&layers.Heartbeat{
@@ -77,8 +77,7 @@ func TestSecureOverTopoNATRebind(t *testing.T) {
 	mk := func(tr core.Transport) core.Config {
 		return core.Config{
 			Transport: tr, Clock: clk, Build: secureTopoStack(key, rto),
-			PeerTimeout:  500 * time.Millisecond,
-			MaxPackBytes: 1200,
+			PeerTimeout: 500 * time.Millisecond,
 			Recovery: core.RecoveryConfig{
 				MaxAttempts: 60,
 				BaseDelay:   100 * time.Millisecond,

@@ -188,8 +188,10 @@ type linkState struct {
 	down     bool
 
 	// queued packets occupy the output buffer from enqueue until
-	// serialization completes; nextFree is the serialization horizon.
+	// serialization completes; peak is the most ever queued at once;
+	// nextFree is the serialization horizon.
 	queued   int
+	peak     int
 	nextFree time.Time
 	drops    uint64
 
@@ -380,6 +382,20 @@ func (n *Internet) QueueStats(name string) (depth int, drops uint64) {
 		drops += l.drops
 	}
 	return depth, drops
+}
+
+// PeakQueueDepth reports the most packets the directed link a->b ever
+// held in its output queue at once — the occupancy a sampled QueueStats
+// can miss between samples. An unknown link reports 0.
+func (n *Internet) PeakQueueDepth(a, b string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if na := n.nodes[a]; na != nil {
+		if l := na.nbrs[b]; l != nil {
+			return l.peak
+		}
+	}
+	return 0
 }
 
 // recomputeLocked rebuilds every node's next-hop table by BFS. Neighbor
@@ -577,6 +593,9 @@ func (n *Internet) enqueueLocked(now time.Time, nd *node, l *linkState, p *packe
 			return
 		}
 		l.queued++
+		if l.queued > l.peak {
+			l.peak = l.queued
+		}
 		nd.depthGauge.Add(1)
 	}
 

@@ -91,6 +91,11 @@ type InitContext struct {
 	// SendFilter and RecvFilter receive the layer's packet-filter
 	// instructions for message-specific information (§3.3).
 	SendFilter, RecvFilter *filter.Builder
+	// MaxPayload is the largest payload one frame may carry; 0 until a
+	// layer declares a limit. A layer that bounds frames (fragmentation)
+	// lowers it to its bound, never raises it; the engine packs
+	// backlogged messages under it (§3.4).
+	MaxPayload int
 }
 
 // Context is passed to Prime and the four phase methods.

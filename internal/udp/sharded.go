@@ -82,9 +82,6 @@ func (s *Sharded) QueueRecvStats(i int) (batches, datagrams uint64) {
 	return s.queues[i].RecvBatchStats()
 }
 
-// Queue returns the i'th underlying transport (tests and diagnostics).
-func (s *Sharded) Queue(i int) *Transport { return s.queues[i] }
-
 // LocalAddr returns the shared bound address in host:port form.
 func (s *Sharded) LocalAddr() string { return s.queues[0].LocalAddr() }
 

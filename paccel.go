@@ -412,7 +412,10 @@ func ServeTelemetry(addr string, rec *Telemetry) (*TelemetryServer, error) {
 type StackOptions struct {
 	// WindowSize overrides the 16-entry window.
 	WindowSize int
-	// FragThreshold overrides the fragmentation payload limit.
+	// FragThreshold overrides the fragmentation payload limit. It also
+	// bounds packing: messages backlogged behind a closed window are
+	// packed into frames no larger than it, so a path MTU set here holds
+	// for packed frames too.
 	FragThreshold int
 	// AdaptiveRTO enables Jacobson/Karels retransmission-timeout
 	// estimation in the window layer.

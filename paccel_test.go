@@ -193,6 +193,54 @@ func TestFacadeDefaults(t *testing.T) {
 	}
 }
 
+// TestFragThresholdBoundsPacking checks StackOptions.FragThreshold also
+// bounds packing: messages backlogged behind a closed window are packed no
+// larger than the threshold, so the fragmenter never splits a packed
+// message and every message arrives on its own, in order.
+func TestFragThresholdBoundsPacking(t *testing.T) {
+	net := paccel.NewSimNetwork(paccel.SimConfig{Latency: 500 * time.Microsecond})
+	build := paccel.BuildStack(paccel.StackOptions{FragThreshold: 256, WindowSize: 2})
+	mk := func(addr string) *paccel.Endpoint {
+		ep, err := paccel.NewEndpoint(paccel.Config{Transport: net.Endpoint(addr), Build: build})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	epA, epB := mk("A"), mk("B")
+	a, err := epA.Dial(paccel.PeerSpec{Addr: "B", LocalID: []byte("a"), RemoteID: []byte("b"), LocalPort: 1, RemotePort: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := epB.Dial(paccel.PeerSpec{Addr: "A", LocalID: []byte("b"), RemoteID: []byte("a"), LocalPort: 2, RemotePort: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	got := make(chan []byte, 2*n)
+	b.OnDeliver(func(p []byte) { got <- append([]byte(nil), p...) })
+	for i := 0; i < n; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 49)
+		if err := a.Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case p := <-got:
+			if want := bytes.Repeat([]byte{byte(i)}, 49); !bytes.Equal(p, want) {
+				t.Fatalf("callback %d: %d bytes starting %#x, want message %d on its own", i, len(p), p[0], i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout after %d/%d messages", i, n)
+		}
+	}
+	if st := a.Stats(); st.PackedBatches == 0 {
+		t.Fatal("no packing happened; test lost its purpose")
+	}
+}
+
 func TestBuildStackOptions(t *testing.T) {
 	net := paccel.NewSimNetwork(paccel.SimConfig{})
 	var silencePeer []byte
