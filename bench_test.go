@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"paccel/internal/core"
-	"paccel/internal/evsim"
 	"paccel/internal/experiments"
 	"paccel/internal/group"
 	"paccel/internal/layers"
@@ -198,69 +197,6 @@ func BenchmarkStreamThroughput8B(b *testing.B) { streamBench(b, 8) }
 // BenchmarkBandwidth1K is Table 4 row 4 (paper: 15 MB/s).
 func BenchmarkBandwidth1K(b *testing.B) { streamBench(b, 1024) }
 
-// BenchmarkTable4Sim regenerates the whole of Table 4 on the calibrated
-// 1996 testbed model.
-func BenchmarkTable4Sim(b *testing.B) {
-	var t4 evsim.Table4
-	for i := 0; i < b.N; i++ {
-		t4 = evsim.ComputeTable4(evsim.PaperCosts())
-	}
-	b.ReportMetric(float64(t4.OneWayLatency.Microseconds()), "sim-oneway-µs")
-	b.ReportMetric(t4.MsgsPerSec, "sim-msgs/s")
-	b.ReportMetric(t4.RoundTripsSec, "sim-rt/s")
-	b.ReportMetric(t4.BandwidthMBs, "sim-MB/s")
-}
-
-// BenchmarkFig4Breakdown regenerates the Figure 4 round-trip timeline.
-func BenchmarkFig4Breakdown(b *testing.B) {
-	var rtt time.Duration
-	for i := 0; i < b.N; i++ {
-		_, res := evsim.FirstRoundTripTimeline(evsim.PaperCosts())
-		rtt = res.FirstRTT
-	}
-	b.ReportMetric(float64(rtt.Microseconds()), "sim-rtt-µs")
-}
-
-// BenchmarkFig5Sweep regenerates the Figure 5 latency-vs-rate curves and
-// reports the two saturation points (paper: ~1900 rt/s with GC after each
-// receive, ~6000 rt/s with occasional GC).
-func BenchmarkFig5Sweep(b *testing.B) {
-	var gcRate, occRate float64
-	for i := 0; i < b.N; i++ {
-		gcRate, _ = evsim.MaxRoundTripRate(evsim.PaperCosts(), 800)
-		noGC := evsim.PaperCosts()
-		noGC.GCEveryReceive = false
-		occRate, _ = evsim.MaxRoundTripRate(noGC, 800)
-	}
-	b.ReportMetric(gcRate, "sim-rt/s-gc")
-	b.ReportMetric(occRate, "sim-rt/s-occ")
-}
-
-// BenchmarkLayerScalingSim reports the §5 layer-doubling saturation cost
-// on the model.
-func BenchmarkLayerScalingSim(b *testing.B) {
-	var base, doubled float64
-	for i := 0; i < b.N; i++ {
-		cm := evsim.PaperCosts()
-		base, _ = evsim.MaxRoundTripRate(cm, 600)
-		cm.ExtraLayers = 1
-		doubled, _ = evsim.MaxRoundTripRate(cm, 600)
-	}
-	b.ReportMetric(base, "rt/s-4layer")
-	b.ReportMetric(doubled, "rt/s-5layer")
-}
-
-// BenchmarkUnacceleratedSim reports the original-Horus model round trip
-// (paper: ~1.5 ms vs the PA's 170 µs).
-func BenchmarkUnacceleratedSim(b *testing.B) {
-	um := evsim.PaperUnaccelerated()
-	var rtt time.Duration
-	for i := 0; i < b.N; i++ {
-		rtt = um.RoundTrip(8)
-	}
-	b.ReportMetric(float64(rtt.Microseconds()), "sim-rtt-µs")
-}
-
 // BenchmarkSendOneWay measures a single accelerated Send (delivery
 // inline on the synchronous network), the finest-grained critical path.
 func BenchmarkSendOneWay(b *testing.B) {
@@ -413,19 +349,8 @@ func BenchmarkGroupFanoutAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkServerLoadSim runs the §6 Maximum Load analysis.
-func BenchmarkServerLoadSim(b *testing.B) {
-	cm := evsim.PaperCosts()
-	cm.GCEveryReceive = false
-	var r evsim.ServerLoadResult
-	for i := 0; i < b.N; i++ {
-		r = evsim.ServerLoad(evsim.ServerLoadConfig{Model: cm, Clients: 64, Processors: 4})
-	}
-	b.ReportMetric(r.ServerCap, "sim-rpc/s-4cpu")
-}
-
 // BenchmarkMultiClientServer measures a server fanning 4 concurrent
-// clients (§6), the real-mode companion to BenchmarkServerLoadSim.
+// clients (§6), the live companion to evsim.ExampleServerLoad.
 func BenchmarkMultiClientServer(b *testing.B) {
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	server, err := core.NewEndpoint(core.Config{

@@ -325,6 +325,119 @@ func TestStormTightensAndRelaxes(t *testing.T) {
 	}
 }
 
+// TestRedialStormLosesNothing is a fleet reboot on the virtual clock:
+// every peer redials a small-capacity server at once, over the storm
+// threshold, while one admitted "victim" connection keeps sending. Three
+// things must hold together: every redial is either admitted or counted
+// as shed (never silent), the victim loses nothing, and the detector
+// trips during the storm and relaxes once it passes.
+func TestRedialStormLosesNothing(t *testing.T) {
+	const (
+		maxConns  = 256
+		stormRate = 500
+		attempts  = 1200
+	)
+	clk := newTestClock()
+	net := newTestNet(clk)
+	var victimDelivered int
+	var victimIn *Conn
+	epS, err := NewEndpoint(Config{
+		Transport: net.Endpoint("S"), Clock: clk, MaxConns: maxConns,
+		Admission: AdmissionConfig{StormRate: stormRate, Seed: 7},
+		Accept:    acceptAll,
+		OnConn: func(c *Conn) {
+			if victimIn == nil {
+				victimIn = c
+				c.OnDeliver(func([]byte) { victimDelivered++ })
+				return
+			}
+			c.OnDeliver(func([]byte) {})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epS.Close()
+
+	// The victim redials first — the connection that made it back in —
+	// and keeps talking through the whole storm.
+	epV, err := NewEndpoint(Config{Transport: net.Endpoint("V"), Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epV.Close()
+	victim, err := epV.Dial(PeerSpec{
+		Addr: "S", LocalID: []byte("victim"), RemoteID: []byte("srv"),
+		LocalPort: 7, RemotePort: 9, Epoch: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimSent := 0
+	victimSend := func() {
+		t.Helper()
+		for {
+			err := victim.Send([]byte("still here"))
+			if err == nil {
+				victimSent++
+				return
+			}
+			if !errors.Is(err, ErrBackpressure) {
+				t.Fatal(err)
+			}
+			clk.Advance(20 * time.Millisecond)
+		}
+	}
+	victimSend()
+
+	before := epS.Snapshot()
+	offered := 0
+	// The storm: 500 redials per virtual second, at the detector's
+	// threshold, so it must trip.
+	for i := 0; i < attempts; i++ {
+		dialIn(t, clk, net, i)
+		offered++
+		if i%16 == 15 {
+			victimSend()
+		}
+		if i%500 == 499 {
+			clk.Advance(time.Second)
+		}
+	}
+	if s := epS.Snapshot(); s.StormsDetected == 0 || !s.StormActive {
+		t.Fatalf("storm of %d redials/s: StormsDetected=%d StormActive=%v",
+			stormRate, s.StormsDetected, s.StormActive)
+	}
+	// Calm seconds carrying only a trickle of redials: the detector
+	// must relax.
+	for s := 0; s < 5; s++ {
+		clk.Advance(time.Second)
+		dialIn(t, clk, net, attempts+s)
+		offered++
+		victimSend()
+	}
+	clk.Advance(time.Second)
+	dialIn(t, clk, net, attempts+5)
+	offered++
+
+	after := epS.Snapshot()
+	admitted := after.Accepted - before.Accepted
+	shed := after.ShedTotal - before.ShedTotal
+	if admitted+shed != uint64(offered) {
+		t.Fatalf("%d redials but admitted %d + shed %d (silent loss)", offered, admitted, shed)
+	}
+	if after.ShedStorm == 0 || after.ShedFull == 0 {
+		t.Fatalf("ShedStorm=%d ShedFull=%d, want both (storm cap, then capacity)",
+			after.ShedStorm, after.ShedFull)
+	}
+	if victimDelivered != victimSent {
+		t.Fatalf("victim sent %d, delivered %d — admitted traffic lost", victimSent, victimDelivered)
+	}
+	if after.StormActive {
+		t.Fatal("storm detector still engaged after calm seconds")
+	}
+}
+
 // TestLoadGaugesAndTableAccounting: the occupancy gauges and table-memory
 // stats surface endpoint load.
 func TestLoadGaugesAndTableAccounting(t *testing.T) {

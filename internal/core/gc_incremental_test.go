@@ -57,7 +57,12 @@ func TestCookieGCSweepBudgetBounded(t *testing.T) {
 	if got := cookieCount(epS); got != entries {
 		t.Fatalf("router holds %d cookies before GC, want %d", got, entries)
 	}
-	slots := epS.Snapshot().TableSlots
+	loaded := epS.Snapshot()
+	if loaded.TableEntries != entries || loaded.TableBytesPerEntry <= 0 || loaded.TableBytesPerEntry > 512 {
+		t.Fatalf("loaded table: %d entries at %.1f B/entry, want %d at (0, 512]",
+			loaded.TableEntries, loaded.TableBytesPerEntry, entries)
+	}
+	slots := loaded.TableSlots
 	if slots <= budget {
 		t.Fatalf("table has only %d slots — grow the test, the budget is not exercised", slots)
 	}
@@ -74,8 +79,8 @@ func TestCookieGCSweepBudgetBounded(t *testing.T) {
 	if s.GCSweeps < minSweeps {
 		t.Fatalf("GCSweeps = %d, want ≥ %d — the pass was not split", s.GCSweeps, minSweeps)
 	}
-	if got := cookieCount(epS); got != 0 {
-		t.Fatalf("router holds %d cookies after 3×TTL, want 0 (bounded memory)", got)
+	if got := cookieCount(epS); got != 0 || s.TableEntries != 0 {
+		t.Fatalf("router holds %d cookies (%d table entries) after 3×TTL, want 0 (bounded memory)", got, s.TableEntries)
 	}
 	if s.CookiesEvicted != entries {
 		t.Fatalf("CookiesEvicted = %d, want %d", s.CookiesEvicted, entries)

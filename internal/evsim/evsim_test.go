@@ -104,15 +104,15 @@ func TestFig4Timeline(t *testing.T) {
 	if res.FirstRTT < us(165) || res.FirstRTT > us(185) {
 		t.Fatalf("first RTT = %v, want ≈170–176 µs", res.FirstRTT)
 	}
-	if res.OneWay.Mean() < us(80) || res.OneWay.Mean() > us(95) {
-		t.Fatalf("one-way = %v, want ≈85 µs", res.OneWay.Mean())
+	if res.OneWay.mean() < us(80) || res.OneWay.mean() > us(95) {
+		t.Fatalf("one-way = %v, want ≈85 µs", res.OneWay.mean())
 	}
 	// The GC completes roughly 400–700 µs in (paper's Figure 4 shows
 	// ~550–600 µs).
 	if res.PostDone < us(400) || res.PostDone > us(750) {
 		t.Fatalf("post+GC done at %v", res.PostDone)
 	}
-	out := tl.Render("server", "client")
+	out := tl.render("server", "client")
 	for _, label := range []string{"SEND()", "DELIVER()", "POSTSEND DONE", "POSTDELIVER DONE", "GARBAGE COLLECTED"} {
 		if !strings.Contains(out, label) {
 			t.Fatalf("timeline missing %q:\n%s", label, out)
@@ -153,9 +153,9 @@ func TestFig5FlatRegion(t *testing.T) {
 	// Below 1650 rt/s the 170 µs latency is maintained (paper §5).
 	for _, rate := range []float64{200, 800, 1650} {
 		res := RoundTrips(RTConfig{Model: cm, N: 1500, Rate: rate})
-		if res.Latency.Mean() > us(200) {
+		if res.Latency.mean() > us(200) {
 			t.Fatalf("rate %.0f: latency = %v, want flat ≈176 µs",
-				rate, res.Latency.Mean())
+				rate, res.Latency.mean())
 		}
 	}
 }
@@ -164,8 +164,8 @@ func TestFig5OccasionalGCReachesHigherRates(t *testing.T) {
 	cm := PaperCosts()
 	cm.GCEveryReceive = false
 	res := RoundTrips(RTConfig{Model: cm, N: 2000, Rate: 5000})
-	if res.Latency.Mean() > us(250) {
-		t.Fatalf("occasional-GC at 5000 rt/s: latency = %v", res.Latency.Mean())
+	if res.Latency.mean() > us(250) {
+		t.Fatalf("occasional-GC at 5000 rt/s: latency = %v", res.Latency.mean())
 	}
 	rate, _ := MaxRoundTripRate(cm, 3000)
 	if rate < 4500 {
@@ -255,8 +255,8 @@ func TestGCDrawBounds(t *testing.T) {
 	res := RoundTrips(RTConfig{Model: cm, N: 500})
 	// Worst-case saturated latency must stay within preSend+... + GCMax
 	// bounds; this is a sanity check that GC draws respect [min,max).
-	if res.Latency.Max() > 2*time.Millisecond {
-		t.Fatalf("max latency = %v", res.Latency.Max())
+	if res.Latency.max() > 2*time.Millisecond {
+		t.Fatalf("max latency = %v", res.Latency.max())
 	}
 	cmNo := cm
 	cmNo.GCEveryReceive = false
@@ -267,8 +267,8 @@ func TestGCDrawBounds(t *testing.T) {
 
 func TestOpenLoopIdleIsPaperLatency(t *testing.T) {
 	res := RoundTrips(RTConfig{Model: PaperCosts(), N: 100, Rate: 100})
-	if res.Latency.Mean() != res.FirstRTT {
-		t.Fatalf("idle-rate latency %v != first RTT %v", res.Latency.Mean(), res.FirstRTT)
+	if res.Latency.mean() != res.FirstRTT {
+		t.Fatalf("idle-rate latency %v != first RTT %v", res.Latency.mean(), res.FirstRTT)
 	}
 }
 
@@ -282,17 +282,17 @@ func TestOccasionalGCHiccups(t *testing.T) {
 	cm.GCHiccupEvery = 100
 	cm.GCHiccup = time.Millisecond
 	res := RoundTrips(RTConfig{Model: cm, N: 1000})
-	if p50 := res.Latency.Percentile(50); p50 > us(250) {
+	if p50 := res.Latency.percentile(50); p50 > us(250) {
 		t.Fatalf("median latency = %v, want ~176 µs", p50)
 	}
-	if max := res.Latency.Max(); max < 900*time.Microsecond {
+	if max := res.Latency.max(); max < 900*time.Microsecond {
 		t.Fatalf("max latency = %v, want a ~1 ms hiccup", max)
 	}
 	// Without hiccups configured, occasional GC has no tail.
 	cm.GCHiccupEvery = 0
 	smooth := RoundTrips(RTConfig{Model: cm, N: 1000})
-	if smooth.Latency.Max() > us(300) {
-		t.Fatalf("hiccup-free max = %v", smooth.Latency.Max())
+	if smooth.Latency.max() > us(300) {
+		t.Fatalf("hiccup-free max = %v", smooth.Latency.max())
 	}
 }
 
@@ -335,8 +335,8 @@ func TestEthernetHidesAllPostProcessing(t *testing.T) {
 	cm.CellSize, cm.CellPayload = 0, 0
 	_, idle := FirstRoundTripTimeline(cm)
 	res := RoundTrips(RTConfig{Model: cm, N: 2000})
-	if res.Latency.Mean() > idle.FirstRTT+20*time.Microsecond {
-		t.Fatalf("saturated latency %v inflated over idle %v", res.Latency.Mean(), idle.FirstRTT)
+	if res.Latency.mean() > idle.FirstRTT+20*time.Microsecond {
+		t.Fatalf("saturated latency %v inflated over idle %v", res.Latency.mean(), idle.FirstRTT)
 	}
 	wantRate := 1 / idle.FirstRTT.Seconds()
 	if res.Achieved < 0.95*wantRate {

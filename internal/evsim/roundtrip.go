@@ -3,9 +3,6 @@ package evsim
 import (
 	"math/rand"
 	"time"
-
-	"paccel/internal/stats"
-	"paccel/internal/trace"
 )
 
 // RTConfig configures a round-trip experiment.
@@ -24,14 +21,12 @@ type RTConfig struct {
 	Gap time.Duration
 	// Payload is the user-data size (the paper uses 8 bytes).
 	Payload int
-	// Trace, if non-nil, receives the full event timeline.
-	Trace *trace.Timeline
 }
 
 // RTResult summarizes a round-trip experiment.
 type RTResult struct {
-	Latency   stats.Sample // per round trip, request issue → reply delivered
-	OneWay    stats.Sample // request issue → request delivered at server
+	Latency   sample // per round trip, request issue → reply delivered
+	OneWay    sample // request issue → request delivered at server
 	Duration  time.Duration
 	Achieved  float64 // completed round-trips per second
 	FirstRTT  time.Duration
@@ -76,13 +71,6 @@ func RoundTrips(cfg RTConfig) RTResult {
 		prevReply                 time.Duration // when the previous reply was delivered
 		endOfRun                  time.Duration
 	)
-	tr := cfg.Trace
-	record := func(rt int, at time.Duration, host, label string) {
-		if tr != nil && rt == 0 {
-			tr.Add(at, host, label)
-		}
-	}
-
 	for r := 0; r < cfg.N; r++ {
 		// Request issue time.
 		var issue time.Duration
@@ -98,14 +86,12 @@ func RoundTrips(cfg RTConfig) RTResult {
 		// Client pre-send; §3.1 forces the previous send prediction
 		// first, and allows at most one full post-sending (plus its
 		// collection) to remain outstanding.
-		record(r, issue, "client", "SEND()")
 		var sendDone time.Duration
 		if cm.StrictDrain {
 			sendDone = client.Exec(issue, cm.PreSend, cPredSend, cBulkSend)
 		} else {
 			sendDone = client.Exec(issue, cm.PreSend, cBulkSendP, cGCP, cPredSend)
 		}
-		record(r, sendDone, "client", "to U-Net")
 
 		// Network.
 		arrive := sendDone + wire + cm.NetLatency
@@ -118,12 +104,10 @@ func RoundTrips(cfg RTConfig) RTResult {
 		} else {
 			servDeliver = server.Exec(arrive, cm.Deliver, sBulkDeliverP, sPredDeliver)
 		}
-		record(r, servDeliver, "server", "DELIVER()")
-		res.OneWay.Add(servDeliver - issue)
+		res.OneWay.add(servDeliver - issue)
 
 		// Server replies immediately (before its post-processing —
 		// the heart of Figure 4), then queues its lazy work.
-		record(r, servDeliver, "server", "SEND()")
 		var replyDone time.Duration
 		if cm.StrictDrain {
 			replyDone = server.Exec(servDeliver, cm.PreSend, sPredSend, sBulkSend)
@@ -145,7 +129,6 @@ func RoundTrips(cfg RTConfig) RTResult {
 		} else {
 			clientDeliver = client.Exec(replyArrive, cm.Deliver, cBulkDeliverP, cPredDeliver)
 		}
-		record(r, clientDeliver, "client", "DELIVER()")
 
 		// Client lazy work: post-send of the request, post-delivery
 		// of the reply, then a collection.
@@ -157,7 +140,7 @@ func RoundTrips(cfg RTConfig) RTResult {
 		cGC = client.AddLazy(clientDeliver, cm.gcAt(rng, r), "gc")
 
 		rtt := clientDeliver - issue
-		res.Latency.Add(rtt)
+		res.Latency.add(rtt)
 		if r == 0 {
 			res.FirstRTT = rtt
 		}
@@ -179,49 +162,49 @@ func RoundTrips(cfg RTConfig) RTResult {
 
 // FirstRoundTripTimeline simulates a single round trip and returns the
 // annotated Figure 4 timeline, including the lazy completion events.
-func FirstRoundTripTimeline(cm CostModel) (*trace.Timeline, RTResult) {
+func FirstRoundTripTimeline(cm CostModel) (*timeline, RTResult) {
 	rng := rand.New(rand.NewSource(cm.Seed))
 	client := &CPU{Name: "client"}
 	server := &CPU{Name: "server"}
-	tl := &trace.Timeline{}
+	tl := &timeline{}
 	wire := cm.wire(8)
 
 	issue := time.Duration(0)
-	tl.Add(issue, "client", "SEND()")
+	tl.add(issue, "client", "SEND()")
 	sendDone := client.Exec(issue, cm.PreSend)
-	tl.Add(sendDone, "client", "to U-Net")
+	tl.add(sendDone, "client", "to U-Net")
 	arrive := sendDone + wire + cm.NetLatency
 	servDeliver := server.Exec(arrive, cm.Deliver)
-	tl.Add(servDeliver, "server", "DELIVER()")
-	tl.Add(servDeliver, "server", "SEND()")
+	tl.add(servDeliver, "server", "DELIVER()")
+	tl.add(servDeliver, "server", "SEND()")
 	replyDone := server.Exec(servDeliver, cm.PreSend)
 	sPS := server.AddLazy(replyDone, cm.postSend(), "postsend")
 	sPD := server.AddLazy(replyDone, cm.postDeliver(), "postdeliver")
 	sGC := server.AddLazy(replyDone, cm.gc(rng), "gc")
 	replyArrive := replyDone + wire + cm.NetLatency
 	clientDeliver := client.Exec(replyArrive, cm.Deliver)
-	tl.Add(clientDeliver, "client", "DELIVER()")
+	tl.add(clientDeliver, "client", "DELIVER()")
 	cPS := client.AddLazy(clientDeliver, cm.postSend(), "postsend")
 	cPD := client.AddLazy(clientDeliver, cm.postDeliver(), "postdeliver")
 	cGC := client.AddLazy(clientDeliver, cm.gc(rng), "gc")
 
 	client.Flush(clientDeliver)
 	server.Flush(clientDeliver)
-	tl.Add(sPS.DoneAt(), "server", "POSTSEND DONE")
-	tl.Add(sPD.DoneAt(), "server", "POSTDELIVER DONE")
+	tl.add(sPS.DoneAt(), "server", "POSTSEND DONE")
+	tl.add(sPD.DoneAt(), "server", "POSTDELIVER DONE")
 	if cm.GCEveryReceive {
-		tl.Add(sGC.DoneAt(), "server", "GARBAGE COLLECTED")
+		tl.add(sGC.DoneAt(), "server", "GARBAGE COLLECTED")
 	}
-	tl.Add(cPS.DoneAt(), "client", "POSTSEND DONE")
-	tl.Add(cPD.DoneAt(), "client", "POSTDELIVER DONE")
+	tl.add(cPS.DoneAt(), "client", "POSTSEND DONE")
+	tl.add(cPD.DoneAt(), "client", "POSTDELIVER DONE")
 	if cm.GCEveryReceive {
-		tl.Add(cGC.DoneAt(), "client", "GARBAGE COLLECTED")
+		tl.add(cGC.DoneAt(), "client", "GARBAGE COLLECTED")
 	}
 
 	var res RTResult
 	res.FirstRTT = clientDeliver - issue
-	res.Latency.Add(res.FirstRTT)
-	res.OneWay.Add(servDeliver - issue)
+	res.Latency.add(res.FirstRTT)
+	res.OneWay.add(servDeliver - issue)
 	res.PostDone = maxDur(cGC.DoneAt(), sGC.DoneAt())
 	res.Duration = clientDeliver
 	res.GCPerRecv = cm.GCEveryReceive
@@ -234,7 +217,7 @@ func FirstRoundTripTimeline(cm CostModel) (*trace.Timeline, RTResult) {
 // after every receive, ~6000 rt/s without).
 func MaxRoundTripRate(cm CostModel, n int) (ratePerSec float64, meanLatency time.Duration) {
 	res := RoundTrips(RTConfig{Model: cm, N: n})
-	return res.Achieved, res.Latency.Mean()
+	return res.Achieved, res.Latency.mean()
 }
 
 func maxDur(a, b time.Duration) time.Duration {

@@ -1,73 +1,68 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
 
-// TestChurnLoadSmall runs the load scenario at a size that still forces
-// multiple incremental-GC sweeps, checking the in-harness assertions
-// (budget bound, clean drain) hold under the race detector.
+	"paccel/internal/core"
+	"paccel/internal/netsim"
+	"paccel/internal/vclock"
+)
+
+// TestChurnLoadSmall fills one endpoint's routing table with 8000
+// learned routes through the public API, at the default GC budget, and
+// drains it on the virtual clock: the table must stay compact while
+// loaded and empty out completely once the routes go idle.
 func TestChurnLoadSmall(t *testing.T) {
-	pt, err := churnLoad(8000)
+	const ttl = time.Minute
+	const entries = 8000
+	const anchors = 16
+	// The engine's default incremental-sweep budget, in slots.
+	const sweepBudget = 4096
+	clk := vclock.NewManual(time.Unix(0, 0))
+	net := netsim.New(clk, netsim.Config{})
+	server, err := core.NewEndpoint(core.Config{
+		Transport: net.Endpoint("S"),
+		Clock:     clk,
+		CookieTTL: ttl,
+		MaxConns:  entries + anchors,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.BytesPerEntry <= 0 || pt.BytesPerEntry > 512 {
-		t.Fatalf("implausible bytes/entry %.1f", pt.BytesPerEntry)
-	}
-	if !pt.DrainedClean {
-		t.Fatal("GC did not drain the table")
-	}
-}
+	defer server.Close()
 
-// TestChurnStormSmall runs a small seeded redial storm end-to-end: the
-// harness itself fails the run on silent shed accounting, victim
-// message loss, or a detector that never trips.
-func TestChurnStormSmall(t *testing.T) {
-	res, err := churnStorm(1200, 7)
-	if err != nil {
-		t.Fatal(err)
+	per := entries / anchors
+	for i := 0; i < anchors; i++ {
+		anchor, err := server.Dial(core.PeerSpec{
+			Addr: "X", LocalID: []byte("s"), RemoteID: []byte("x"),
+			LocalPort: uint16(i + 1), RemotePort: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := server.BindBenchCookies(anchor, uint64(1+i*per)<<16, per, true); got != per {
+			t.Fatalf("anchor %d bound %d of %d routes", i, got, per)
+		}
 	}
-	if !res.AccountedLossless || !res.StormExited {
-		t.Fatalf("storm result: %+v", res)
-	}
-	// (Shed allocs are asserted by TestAllocBudget and the perf gate;
-	// under the race detector AllocsPerRun reports instrumentation.)
-}
 
-// TestChurnUDPSmall replays a small storm over real loopback sockets.
-func TestChurnUDPSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets")
+	loaded := server.Snapshot()
+	if loaded.TableEntries != entries {
+		t.Fatalf("loaded table holds %d entries, want %d", loaded.TableEntries, entries)
 	}
-	res, err := churnUDP(64, 7)
-	if err != nil {
-		t.Fatal(err)
+	if bpe := loaded.TableBytesPerEntry; bpe <= 0 || bpe > 512 {
+		t.Fatalf("implausible bytes/entry %.1f", bpe)
 	}
-	if !res.Accounted {
-		t.Fatalf("udp storm result: %+v", res)
-	}
-}
 
-// TestShedHarness pins the fixture the benchmarks stand on: Deliver
-// routes to the admitted connection, Shed is refused every time.
-func TestShedHarness(t *testing.T) {
-	sh, err := NewShedHarness(1 << 20)
-	if err != nil {
-		t.Fatal(err)
+	// Three TTLs fire every paced sweep; no synthetic route is ever
+	// refreshed, so all of them must be gone, in bounded bites.
+	clk.Advance(3 * ttl)
+	s := server.Snapshot()
+	if s.GCMaxSweepSlots > sweepBudget {
+		t.Fatalf("GC sweep examined %d slots, budget %d", s.GCMaxSweepSlots, sweepBudget)
 	}
-	defer sh.Close()
-	before := sh.Server.Snapshot()
-	for i := 0; i < 100; i++ {
-		sh.Deliver()
-		sh.Shed()
-	}
-	after := sh.Server.Snapshot()
-	if after.Conns != 1 {
-		t.Fatalf("Conns = %d, want 1", after.Conns)
-	}
-	if got := after.ShedTotal - before.ShedTotal; got != 100 {
-		t.Fatalf("ShedTotal grew %d, want 100", got)
-	}
-	if after.StormsDetected != 0 {
-		t.Fatalf("quiet harness tripped the storm detector")
+	if s.CookiesEvicted != entries || s.TableEntries != 0 {
+		t.Fatalf("GC did not drain the table: evicted %d of %d, %d entries left",
+			s.CookiesEvicted, entries, s.TableEntries)
 	}
 }

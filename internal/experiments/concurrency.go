@@ -1,9 +1,8 @@
-// Concurrency experiments: the multi-core scaling companions to the
-// paper's single-connection numbers. The paper's PA ran one connection
-// per (single-CPU) endpoint; this file measures what the reproduction
-// adds for production scale — a sharded cookie router whose receive path
-// never serializes across connections, and send/delivery fast paths that
-// allocate nothing per message.
+// Receive-path fixtures: the paper's PA ran one connection per
+// (single-CPU) endpoint; these harnesses let the root benchmarks measure
+// what the reproduction adds for production scale — a sharded cookie
+// router whose receive path never serializes across connections, and
+// send/delivery fast paths that allocate nothing per message.
 package experiments
 
 import (
@@ -69,6 +68,22 @@ func (t *tapTransport) takeLast() []byte {
 	return out
 }
 
+// handlerGrab steals a reference to the endpoint's receive callback so
+// frames can be replayed without the network.
+type handlerGrab struct {
+	fn func(src string, datagram []byte)
+}
+
+type handlerGrabTap struct {
+	core.Transport
+	h *handlerGrab
+}
+
+func (t handlerGrabTap) SetHandler(fn func(src string, datagram []byte)) {
+	t.h.fn = fn
+	t.Transport.SetHandler(fn)
+}
+
 // paddedCounter is a cache-line-padded delivery counter, one per
 // connection, so counting deliveries does not itself create the cross-core
 // contention the benchmark is trying to detect.
@@ -82,24 +97,12 @@ type paddedCounter struct {
 // into the transport handler, bypassing the network, so benchmarks
 // measure the router + delivery path alone.
 type RecvHarness struct {
-	Server  *core.Endpoint
-	Conns   []*core.Conn
-	client  *core.Endpoint
-	handler func(src string, datagram []byte)
-	frames  [][]byte
-	counts  []paddedCounter
-}
-
-// handlerTap interposes on SetHandler to steal a reference to the
-// endpoint's receive callback.
-type handlerTap struct {
-	core.Transport
-	h *RecvHarness
-}
-
-func (t handlerTap) SetHandler(fn func(src string, datagram []byte)) {
-	t.h.handler = fn
-	t.Transport.SetHandler(fn)
+	Server *core.Endpoint
+	Conns  []*core.Conn
+	client *core.Endpoint
+	grab   handlerGrab
+	frames [][]byte
+	counts []paddedCounter
 }
 
 // NewRecvHarness builds a server endpoint with nConns pre-agreed-cookie
@@ -110,7 +113,7 @@ func NewRecvHarness(nConns int) (*RecvHarness, error) {
 	h := &RecvHarness{counts: make([]paddedCounter, nConns)}
 	tap := &tapTransport{inner: net.Endpoint("S")}
 	server, err := core.NewEndpoint(core.Config{
-		Transport: handlerTap{tap, h},
+		Transport: handlerGrabTap{tap, &h.grab},
 		Build:     LeanStack,
 	})
 	if err != nil {
@@ -173,7 +176,7 @@ func NewRecvHarness(nConns int) (*RecvHarness, error) {
 		}
 		h.frames = append(h.frames, frame)
 	}
-	if h.handler == nil {
+	if h.grab.fn == nil {
 		h.Close()
 		return nil, fmt.Errorf("experiments: endpoint installed no handler")
 	}
@@ -183,7 +186,7 @@ func NewRecvHarness(nConns int) (*RecvHarness, error) {
 // Deliver replays connection i's captured frame into the server's receive
 // path, as if it had just arrived from the network.
 func (h *RecvHarness) Deliver(i int) {
-	h.handler("C", h.frames[i])
+	h.grab.fn("C", h.frames[i])
 }
 
 // Delivered returns connection i's delivery count.
@@ -199,15 +202,14 @@ func (h *RecvHarness) Close() {
 	}
 }
 
-// ParallelRecvConns is the connection count the concurrency experiment
-// and BenchmarkEndpointParallelRecv use: enough connections that a
-// contended router is visibly slower on any multicore machine.
+// ParallelRecvConns is the connection count BenchmarkEndpointParallelRecv
+// uses: enough connections that a contended router is visibly slower on
+// any multicore machine.
 const ParallelRecvConns = 8
 
 // BenchParallelRecv hammers one endpoint with concurrent receives across
 // nConns connections, each parallel worker replaying a different
-// connection's frame. It is the body of BenchmarkEndpointParallelRecv and
-// of the pabench concurrency experiment.
+// connection's frame. It is the body of BenchmarkEndpointParallelRecv.
 func BenchParallelRecv(b *testing.B, nConns int) {
 	h, err := NewRecvHarness(nConns)
 	if err != nil {
@@ -228,152 +230,4 @@ func BenchParallelRecv(b *testing.B, nConns int) {
 			h.Deliver(i)
 		}
 	})
-}
-
-// ConcurrencyResult is the machine-readable output of the concurrency
-// experiment — the BENCH_1.json baseline future PRs gate against.
-type ConcurrencyResult struct {
-	// GOMAXPROCS records the parallelism the numbers were taken at.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	Conns      int `json:"conns"`
-
-	// Parallel receive routing through the sharded router.
-	ShardedRecvNsOp float64 `json:"sharded_recv_ns_op"`
-
-	// Fast-path allocation counts (lean stack, perfect network). Send
-	// includes the synchronous delivery on the other side.
-	SendAllocsPerOp    float64 `json:"send_allocs_per_op"`
-	DeliverAllocsPerOp float64 `json:"deliver_allocs_per_op"`
-
-	// Single-threaded fast-path latencies for context.
-	SendNsOp    float64 `json:"send_ns_op"`
-	DeliverNsOp float64 `json:"deliver_ns_op"`
-}
-
-// SendAllocsPerOp measures allocations per accelerated Send over an
-// instantaneous network with the lean stack — the delivery on the far
-// side runs inside the same call, so 0 here means the whole send+deliver
-// chain is allocation-free.
-func SendAllocsPerOp(runs int) (float64, error) {
-	p, err := NewPair(PairOptions{Build: LeanStack})
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-	p.B.OnDeliver(func([]byte) {})
-	payload := make([]byte, 32)
-	// Warm the pools: the first operations grow queues and buffer pools.
-	for i := 0; i < 256; i++ {
-		if err := p.A.Send(payload); err != nil {
-			return 0, err
-		}
-	}
-	var sendErr error
-	allocs := testing.AllocsPerRun(runs, func() {
-		if err := p.A.Send(payload); err != nil {
-			sendErr = err
-		}
-	})
-	return allocs, sendErr
-}
-
-// DeliverAllocsPerOp measures allocations per routed delivery using the
-// replay harness (router lookup + filter + fast-path delivery +
-// application callback).
-func DeliverAllocsPerOp(runs int) (float64, error) {
-	h, err := NewRecvHarness(1)
-	if err != nil {
-		return 0, err
-	}
-	defer h.Close()
-	for i := 0; i < 256; i++ {
-		h.Deliver(0)
-	}
-	allocs := testing.AllocsPerRun(runs, func() { h.Deliver(0) })
-	return allocs, nil
-}
-
-// Concurrency runs the scaling experiment: parallel receive throughput
-// through the sharded router, plus fast-path allocation counts.
-func Concurrency(quick bool) (*ConcurrencyResult, error) {
-	runs := 2000
-	if quick {
-		runs = 200
-	}
-	// The routing benchmark needs actual concurrency: lift GOMAXPROCS to
-	// the connection count for its duration (the harness machine may be a
-	// single-core CI runner).
-	prev := runtime.GOMAXPROCS(0)
-	procs := prev
-	if procs < ParallelRecvConns {
-		procs = ParallelRecvConns
-	}
-	runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	res := &ConcurrencyResult{GOMAXPROCS: procs, Conns: ParallelRecvConns}
-
-	// Min of three runs: parallel benchmarks on shared machines are
-	// noisy upward, never downward.
-	reps := 3
-	if quick {
-		reps = 2
-	}
-	for r := 0; r < reps; r++ {
-		out := testing.Benchmark(func(b *testing.B) {
-			BenchParallelRecv(b, ParallelRecvConns)
-		})
-		if ns := float64(out.NsPerOp()); r == 0 || ns < res.ShardedRecvNsOp {
-			res.ShardedRecvNsOp = ns
-		}
-	}
-
-	var err error
-	if res.SendAllocsPerOp, err = SendAllocsPerOp(runs); err != nil {
-		return nil, err
-	}
-	if res.DeliverAllocsPerOp, err = DeliverAllocsPerOp(runs); err != nil {
-		return nil, err
-	}
-
-	sendBench := testing.Benchmark(func(b *testing.B) {
-		p, err := NewPair(PairOptions{Build: LeanStack})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		p.B.OnDeliver(func([]byte) {})
-		payload := make([]byte, 32)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.A.Send(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	res.SendNsOp = float64(sendBench.NsPerOp())
-	delivBench := testing.Benchmark(func(b *testing.B) {
-		h, err := NewRecvHarness(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer h.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Deliver(0)
-		}
-	})
-	res.DeliverNsOp = float64(delivBench.NsPerOp())
-	return res, nil
-}
-
-// ConcurrencyReport formats the result for the pabench console output.
-func ConcurrencyReport(r *ConcurrencyResult) string {
-	return fmt.Sprintf(`Concurrency scaling (GOMAXPROCS=%d, %d connections)
-  parallel recv, sharded router:      %8.1f ns/op
-  fast send  (lean stack):            %8.1f ns/op, %.3f allocs/op
-  fast deliver (replay harness):      %8.1f ns/op, %.3f allocs/op
-`, r.GOMAXPROCS, r.Conns,
-		r.ShardedRecvNsOp,
-		r.SendNsOp, r.SendAllocsPerOp,
-		r.DeliverNsOp, r.DeliverAllocsPerOp)
 }

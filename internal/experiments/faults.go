@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"paccel/internal/bits"
@@ -306,22 +305,4 @@ func Faults(quick bool, seed int64) (*FaultsResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// FaultsReport formats the result for the pabench console output.
-func FaultsReport(r *FaultsResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Chaos schedule (seed %d): %d scenarios, 4-layer stack, virtual clock\n", r.Seed, len(r.Points))
-	fmt.Fprintf(&sb, "  %-15s %6s %6s %7s %8s %9s %10s %9s\n",
-		"scenario", "loss", "corr", "msgs", "retrans", "drops", "virt ms", "recov ms")
-	for _, p := range r.Points {
-		status := ""
-		if p.FailedCleanly {
-			status = "  [failed cleanly: " + p.FailureCause + "]"
-		}
-		fmt.Fprintf(&sb, "  %-15s %6.2f %6.2f %4d/%-3d %8d %9d %10.1f %9.1f%s\n",
-			p.Scenario, p.LossRate, p.CorruptRate, p.Delivered, p.Messages,
-			p.Retransmits, p.RecvDrops, p.VirtualMillis, p.RecoveryMillis, status)
-	}
-	return sb.String()
 }

@@ -21,7 +21,7 @@ func TestFaultsDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := JSON(r)
+		out, err := jsonRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestFaultsSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FaultsReport(r))
+	logRecord(t, r)
 	for _, p := range r.Points {
 		switch p.Scenario {
 		case "dead-peer":

@@ -1,18 +1,13 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment has two modes where that makes sense:
-//
-//   - sim: the calibrated discrete-event model of the paper's 1996
-//     testbed (internal/evsim), which reproduces the published numbers'
-//     shape and scale;
-//   - real: the actual Go Protocol Accelerator (internal/core) measured
-//     end-to-end over the in-memory network on today's hardware — the
-//     same experiments, four orders of magnitude faster.
-//
-// cmd/pabench prints them; bench_test.go wraps them as Go benchmarks.
+// Package experiments holds the seeded whole-system scenarios — the
+// chaos schedule (faults), failover (recovery) and the virtual internet
+// (topo) — whose committed records BENCH_2, BENCH_3 and BENCH_8 are
+// pinned by TestSeededRecordsReproduce, and the fixtures the root
+// package's benchmarks stand on: connected PA and baseline pairs over the
+// in-memory network, the lean, secure and doubled-window stacks, and the
+// receive and admission replay harnesses.
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -24,24 +19,12 @@ import (
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
 	"paccel/internal/stack"
-	"paccel/internal/telemetry"
 	"paccel/internal/vclock"
 )
 
-// JSON renders an experiment result as its committed BENCH_N.json
-// baseline: two-space indent, trailing newline.
-func JSON(result any) (string, error) {
-	out, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
-
 // Pair is a connected PA client/server over an instantaneous in-memory
-// network, used by the real-mode measurements.
+// network.
 type Pair struct {
-	Net      *netsim.Network
 	EpA, EpB *core.Endpoint
 	A, B     *Conn
 }
@@ -49,32 +32,18 @@ type Pair struct {
 // Conn aliases the engine connection for the experiment surface.
 type Conn = core.Conn
 
-// PairOptions tweak the real-measurement fixture.
+// PairOptions tweak the fixture.
 type PairOptions struct {
 	NetConfig netsim.Config
 	Build     core.StackBuilder
-
-	// Telemetry, when non-nil, is installed on both endpoints (and on the
-	// network, for fault events). TelemetrySampleEvery is forwarded to
-	// core.Config; zero keeps the engine default.
-	Telemetry            *telemetry.Recorder
-	TelemetrySampleEvery int
 }
 
 // NewPair dials two endpoints A↔B over an in-memory network on the real
 // clock.
 func NewPair(opt PairOptions) (*Pair, error) {
 	net := netsim.New(vclock.Real{}, opt.NetConfig)
-	if opt.Telemetry != nil {
-		net.SetTelemetry(opt.Telemetry)
-	}
 	cfg := func(addr string) core.Config {
-		return core.Config{
-			Transport:            net.Endpoint(addr),
-			Build:                opt.Build,
-			Telemetry:            opt.Telemetry,
-			TelemetrySampleEvery: opt.TelemetrySampleEvery,
-		}
+		return core.Config{Transport: net.Endpoint(addr), Build: opt.Build}
 	}
 	epA, err := core.NewEndpoint(cfg("A"))
 	if err != nil {
@@ -98,33 +67,13 @@ func NewPair(opt PairOptions) (*Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pair{Net: net, EpA: epA, EpB: epB, A: a, B: b}, nil
+	return &Pair{EpA: epA, EpB: epB, A: a, B: b}, nil
 }
 
 // Close releases the fixture.
 func (p *Pair) Close() {
 	p.EpA.Close()
 	p.EpB.Close()
-}
-
-// PingPong echoes n round trips of payload bytes and returns the mean
-// round-trip time.
-func (p *Pair) PingPong(n int, payload []byte) (time.Duration, error) {
-	p.B.OnDeliver(func(data []byte) {
-		if err := p.B.Send(data); err != nil {
-			panic(err)
-		}
-	})
-	done := make(chan struct{}, 1)
-	p.A.OnDeliver(func([]byte) { done <- struct{}{} })
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := p.A.Send(payload); err != nil {
-			return 0, err
-		}
-		<-done
-	}
-	return time.Since(start) / time.Duration(n), nil
 }
 
 // StreamOneWay sends n messages A→B as fast as possible and returns the
@@ -207,25 +156,6 @@ func NewBaselinePair(netCfg netsim.Config) (*BaselinePair, error) {
 func (p *BaselinePair) Close() {
 	p.EpA.Close()
 	p.EpB.Close()
-}
-
-// PingPong mirrors Pair.PingPong for the baseline path.
-func (p *BaselinePair) PingPong(n int, payload []byte) (time.Duration, error) {
-	p.B.OnDeliver(func(data []byte) {
-		if err := p.B.Send(data); err != nil {
-			panic(err)
-		}
-	})
-	done := make(chan struct{}, 1)
-	p.A.OnDeliver(func([]byte) { done <- struct{}{} })
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := p.A.Send(payload); err != nil {
-			return 0, err
-		}
-		<-done
-	}
-	return time.Since(start) / time.Duration(n), nil
 }
 
 // DoubledWindowStack is the §5 layer-doubling configuration: the window

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"paccel/internal/bits"
@@ -356,22 +355,4 @@ func Recovery(quick bool, seed int64) (*RecoveryResult, error) {
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// RecoveryReport formats the result for the pabench console output.
-func RecoveryReport(r *RecoveryResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Failover schedule (seed %d): %d scenarios, heartbeat stack, virtual clock\n", r.Seed, len(r.Points))
-	fmt.Fprintf(&sb, "  %-17s %7s %6s %7s %8s %8s %9s %-10s\n",
-		"scenario", "msgs", "recov", "probes", "migrate", "replays", "recov ms", "route")
-	for _, p := range r.Points {
-		status := ""
-		if p.FailedCleanly {
-			status = "  [failed cleanly: " + p.FailureCause + "]"
-		}
-		fmt.Fprintf(&sb, "  %-17s %3d/%-3d %3d/%-2d %7d %8d %8d %9.1f %-10s%s\n",
-			p.Scenario, p.Delivered, p.Messages, p.Recovered, p.Recoveries,
-			p.Probes, p.Migrations, p.Replays, p.RecoveryMillis, p.RemoteAddrAfter, status)
-	}
-	return sb.String()
 }

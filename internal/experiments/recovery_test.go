@@ -11,7 +11,7 @@ func TestRecoveryDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := JSON(r)
+		out, err := jsonRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestRecoverySchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", RecoveryReport(r))
+	logRecord(t, r)
 	for _, p := range r.Points {
 		switch p.Scenario {
 		case "retry-exhausted":

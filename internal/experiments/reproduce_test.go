@@ -4,26 +4,60 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestSeededRecordsReproduce pins the seeded virtual-time experiments to
-// their committed records: `pabench -exp faults`, `-exp recovery -seed
-// 1996` and `-exp topo -seed 1996` must write BENCH_2, BENCH_3 and BENCH_8
-// byte for byte, and each topo schedule's pcap must hash to the pinned
-// digest. A diff means the engine's ack, RTO or packing schedule moved —
-// intended or not, the records then need regenerating and explaining.
+// update rewrites the committed records instead of comparing against
+// them: go test ./internal/experiments -run TestSeededRecordsReproduce -update
+var update = flag.Bool("update", false, "rewrite BENCH_2/3/8.json from the seeded runs")
+
+// jsonRecord renders a scenario result as its committed BENCH_N.json
+// record: two-space indent, trailing newline.
+func jsonRecord(result any) (string, error) {
+	out, err := json.MarshalIndent(result, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	return string(out) + "\n", nil
+}
+
+// logRecord logs a scenario result as its JSON record (visible with -v).
+func logRecord(t *testing.T, result any) {
+	t.Helper()
+	out, err := jsonRecord(result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", out)
+}
+
+// TestSeededRecordsReproduce pins the seeded virtual-time scenarios to
+// their committed records: the faults schedule (default seed), recovery
+// and topo (seed 1996) must produce BENCH_2, BENCH_3 and BENCH_8 byte for
+// byte, and each topo schedule's pcap must hash to the pinned digest. A
+// diff means the engine's ack, RTO or packing schedule moved — intended
+// or not, the records then need regenerating (-update) and explaining;
+// a pcap mismatch prints the new digest to pin.
 func TestSeededRecordsReproduce(t *testing.T) {
 	record := func(t *testing.T, res any, file string) {
 		t.Helper()
-		got, err := JSON(res)
+		got, err := jsonRecord(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("..", "..", file))
+		path := filepath.Join("..", "..", file)
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"paccel/internal/core"
@@ -432,24 +431,4 @@ func Topo(quick bool, seed int64, pcapFor func(scenario string) io.Writer) (*Top
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// TopoReport formats the result for the pabench console output.
-func TopoReport(r *TopoResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Virtual internet (seed %d): %d schedules, routed multi-hop topology, virtual clock\n",
-		r.Seed, len(r.Points))
-	fmt.Fprintf(&sb, "  %-15s %7s %7s %6s %7s %8s %7s %6s %7s %7s\n",
-		"schedule", "msgs", "qdrop", "loss", "rebind", "migrate", "retx", "bkpr", "recov", "frames")
-	for _, p := range r.Points {
-		fmt.Fprintf(&sb, "  %-15s %3d/%-3d %7d %6d %7d %8d %7d %6d %3d/%-3d %7d\n",
-			p.Scenario, p.Delivered, p.Messages, p.QueueDrops, p.LossDrops,
-			p.NATRebinds, p.Migrations, p.Retransmits, p.Backpressured,
-			p.Recovered, p.Recoveries, p.PCAPFrames)
-		if p.ExtBefore != "" {
-			fmt.Fprintf(&sb, "  %-15s   the world saw the client at %s, then %s\n",
-				"", p.ExtBefore, p.ExtAfter)
-		}
-	}
-	return sb.String()
 }

@@ -24,7 +24,7 @@ func TestTopoDeterministicUnderSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := JSON(r)
+		out, err := jsonRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestTopoSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", TopoReport(r))
+	logRecord(t, r)
 	if len(r.Points) != 3 {
 		t.Fatalf("%d points", len(r.Points))
 	}

@@ -491,8 +491,8 @@ func (s *Schema) PaddingBits(class Class) int {
 	panic("header: PaddingBits on uncompiled schema")
 }
 
-// Report renders a human-readable layout summary, used by the header
-// overhead experiment (§2) and cmd/pabench.
+// Report renders a human-readable layout summary, used by the §2 header
+// overhead comparison (baseline.ExampleEndpoint_Schema).
 func (s *Schema) Report() string {
 	var b strings.Builder
 	switch s.mode {

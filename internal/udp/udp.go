@@ -126,9 +126,9 @@ type transportStats struct {
 	batchRecvs     atomic.Uint64
 	recvDatagrams  atomic.Uint64
 
-	// Syscall accounting for the syscalls/datagram metric (pabench -exp
-	// gso): every send/recv system call actually issued, including ones
-	// that returned EAGAIN.
+	// Syscall accounting for the syscalls/datagram metric
+	// (TestGSOLoopbackEqualSizeBurst): every send/recv system call
+	// actually issued, including ones that returned EAGAIN.
 	txSyscalls atomic.Uint64
 	rxSyscalls atomic.Uint64
 
