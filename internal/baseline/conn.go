@@ -40,7 +40,6 @@ type Conn struct {
 	disable  int
 	backlog  []*message.Msg
 	deliverQ []releaseItem
-	deferred []func()
 	appQ     [][]byte
 
 	txq    [][]byte
@@ -239,27 +238,31 @@ func (c *Conn) deliverIncoming(datagram []byte) {
 	env := envFor(b[:c.hdrSize], b[c.hdrSize:], c.nowMicros())
 	ctx := c.ctx(env)
 	v, at := c.st.PreDeliver(ctx, m)
-	switch v {
-	case stack.Continue:
-		c.appQ = append(c.appQ, append([]byte(nil), env.Payload...))
-		c.stats.Delivered++
-		c.st.PostDeliver(ctx, m)
-		m.Free()
-	case stack.Consume:
-		c.stats.Consumed++
-		c.st.PostDeliverBelow(ctx, m, at)
-	default:
-		c.stats.Dropped++
-		c.st.PostDeliverBelow(ctx, m, at)
-		m.Free()
-	}
+	c.postDeliver(ctx, m, v, at, nil)
 	c.settle()
 	c.mu.Unlock()
 	c.flushTx()
 }
 
-// settle runs deferred layer actions, releases, callbacks and the backlog
-// to quiescence. Caller holds c.mu.
+// postDeliver acts on the delivery pre-phases' verdict v, issued by layer
+// at, and runs the post-phases of the layers the message reached, from
+// the top one down to from (nil: the bottom of the stack). It frees m.
+func (c *Conn) postDeliver(ctx *stack.Context, m *message.Msg, v stack.Verdict, at int, from stack.Layer) {
+	switch v {
+	case stack.Continue:
+		c.appQ = append(c.appQ, append([]byte(nil), ctx.Env.Payload...))
+		c.stats.Delivered++
+	case stack.Consume:
+		c.stats.Consumed++
+	default:
+		c.stats.Dropped++
+	}
+	c.st.PostDeliverSpan(ctx, m, v, at, from)
+	m.Free()
+}
+
+// settle runs releases, callbacks and the backlog to quiescence. Caller
+// holds c.mu.
 func (c *Conn) settle() {
 	for {
 		switch {
@@ -274,10 +277,6 @@ func (c *Conn) settle() {
 				}
 			}
 			c.mu.Lock()
-		case len(c.deferred) > 0:
-			f := c.deferred[0]
-			c.deferred = c.deferred[1:]
-			f()
 		case len(c.deliverQ) > 0:
 			item := c.deliverQ[0]
 			c.deliverQ = c.deliverQ[1:]
@@ -293,12 +292,6 @@ func (c *Conn) settle() {
 }
 
 func (c *Conn) release(item releaseItem) {
-	if item.m.Synthetic {
-		c.appQ = append(c.appQ, append([]byte(nil), item.m.Payload()...))
-		c.stats.Delivered++
-		item.m.Free()
-		return
-	}
 	b := item.m.Bytes()
 	if len(b) < c.hdrSize {
 		c.stats.Dropped++
@@ -307,15 +300,8 @@ func (c *Conn) release(item releaseItem) {
 	}
 	env := envFor(b[:c.hdrSize], b[c.hdrSize:], c.nowMicros())
 	ctx := c.ctx(env)
-	v, _ := c.st.DeliverAbove(ctx, item.m, item.from)
-	if v == stack.Continue {
-		c.appQ = append(c.appQ, append([]byte(nil), env.Payload...))
-		c.stats.Delivered++
-		c.st.PostDeliverAbove(ctx, item.m, item.from)
-	} else if v == stack.Drop {
-		c.stats.Dropped++
-	}
-	item.m.Free()
+	v, at := c.st.DeliverAbove(ctx, item.m, item.from)
+	c.postDeliver(ctx, item.m, v, at, item.from)
 }
 
 // Close tears the connection down.
@@ -377,12 +363,6 @@ func (c *Conn) EnableSend() {
 	}
 }
 
-// DisableRecv implements stack.Services (no-op beyond bookkeeping).
-func (c *Conn) DisableRecv() {}
-
-// EnableRecv implements stack.Services.
-func (c *Conn) EnableRecv() {}
-
 // SendControl implements stack.Services.
 func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlOpts) error {
 	if c.closed {
@@ -429,12 +409,14 @@ func (c *Conn) SendRaw(m *message.Msg, includeConnID bool) error {
 	return nil
 }
 
-// EnqueueDeliver implements stack.Services.
+// EnqueueDeliver implements stack.Services. A synthetic message goes to
+// the application in place, ahead of the releases already queued.
 func (c *Conn) EnqueueDeliver(from stack.Layer, m *message.Msg) {
+	if m.Synthetic {
+		c.appQ = append(c.appQ, append([]byte(nil), m.Payload()...))
+		c.stats.Delivered++
+		m.Free()
+		return
+	}
 	c.deliverQ = append(c.deliverQ, releaseItem{from: from, m: m})
 }
-
-// deferred actions registered by pre phases.
-// Defer implements stack.Services: in the baseline, deferred actions run
-// synchronously at the end of the current operation.
-func (c *Conn) Defer(f func()) { c.deferred = append(c.deferred, f) }

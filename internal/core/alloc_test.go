@@ -72,6 +72,7 @@ func TestAllocBudget(t *testing.T) {
 			t.Run("send", func(t *testing.T) { allocSend(t, tc.rec, false) })
 			t.Run("send-unbatched", func(t *testing.T) { allocSend(t, tc.rec, true) })
 			t.Run("deliver", func(t *testing.T) { allocDeliver(t, tc.rec) })
+			t.Run("standalone-ack", func(t *testing.T) { allocStandaloneAck(t, tc.rec) })
 			t.Run("default-stack", func(t *testing.T) { allocDefaultStack(t, tc.rec) })
 			t.Run("dial", func(t *testing.T) { allocDial(t, tc.rec) })
 			t.Run("shed", func(t *testing.T) { allocShed(t, tc.rec) })
@@ -273,6 +274,73 @@ func allocDeliver(t *testing.T, rec *telemetry.Recorder) {
 	allocs := testing.AllocsPerRun(500, func() { server.onRecv("C", frame) })
 	if allocs != 0 {
 		t.Fatalf("deliver fast path: %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// allocStandaloneAck asserts that a received standalone acknowledgement —
+// slow path, consumed by the window, which acts on it in its post-phase —
+// is allocation-free: the engine returns the consumed frame to the
+// message pool. One captured cookie-only ack on the default stack is
+// replayed into the endpoint's receive handler.
+func allocStandaloneAck(t *testing.T, rec *telemetry.Recorder) {
+	t.Helper()
+	net := netsim.New(vclock.Real{}, netsim.Config{})
+	tap := &allocTap{Transport: net.Endpoint("S")}
+	server, err := NewEndpoint(Config{Transport: tap, Telemetry: rec, TelemetrySampleEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := NewEndpoint(Config{Transport: net.Endpoint("C")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sc, err := server.Dial(PeerSpec{
+		Addr: "C", LocalID: []byte("server"), RemoteID: []byte("client"),
+		LocalPort: 2000, RemotePort: 1000, Epoch: 1,
+		OutCookie: 0xc11e, ExpectInCookie: 0x5eed, SkipFirstConnID: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := client.Dial(PeerSpec{
+		Addr: "S", LocalID: []byte("client"), RemoteID: []byte("server"),
+		LocalPort: 1000, RemotePort: 2000, Epoch: 1,
+		OutCookie: 0x5eed, ExpectInCookie: 0xc11e, SkipFirstConnID: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.OnDeliver(func([]byte) {})
+	// Half a window of deliveries makes the client acknowledge at once.
+	for i := 0; i < layers.DefaultWindowSize/2; i++ {
+		if err := sc.Send([]byte("data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w *layers.Window
+	for _, l := range sc.Layers() {
+		if lw, ok := l.(*layers.Window); ok {
+			w = lw
+		}
+	}
+	tap.mu.Lock()
+	frame := append([]byte(nil), tap.last...)
+	tap.mu.Unlock()
+	if w.Stats.AcksReceived != 1 || w.Outstanding() != 0 {
+		t.Fatalf("acks received = %d, outstanding = %d: no standalone ack captured",
+			w.Stats.AcksReceived, w.Outstanding())
+	}
+	for i := 0; i < 256; i++ {
+		server.onRecv("C", frame)
+	}
+	allocs := testing.AllocsPerRun(500, func() { server.onRecv("C", frame) })
+	if got := w.Stats.AcksReceived; got != 1+256+501 {
+		t.Fatalf("acks received = %d, want every replay consumed", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("standalone ack: %.2f allocs/op, want 0", allocs)
 	}
 }
 

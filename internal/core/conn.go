@@ -41,28 +41,27 @@ var (
 type postKind uint8
 
 const (
-	postSend         postKind = iota // stack.PostSend, then free m
-	postDeliver                      // stack.PostDeliver[Above], then free m
-	postDeliverBelow                 // stack.PostDeliverBelow at index `at`
-	postFn                           // a layer-deferred action (Services.Defer)
+	postSend    postKind = iota // stack.PostSend, then free m
+	postDeliver                 // stack.PostDeliverSpan, then free m
 )
 
 // postOp is one queued post-processing step (§3.1). m and env are owned
-// by the op until it runs; env returns to the connection's pool after.
+// by the op until it runs; m is freed and env returns to the connection's
+// pool after.
 type postOp struct {
 	kind postKind
+	v    stack.Verdict // postDeliver: the pre-phase verdict of layer at
+	at   int           // postDeliver: the layer that issued v (-1: Continue)
 	m    *message.Msg
 	env  *filter.Env
-	from stack.Layer // postDeliver: re-enter above this layer (nil: full stack)
-	at   int         // postDeliverBelow: layer index
-	free bool        // postDeliverBelow: free m afterwards (dropped messages)
-	fn   func()      // postFn
+	from stack.Layer // postDeliver: the releasing layer (nil: the network)
 }
 
 // sideState is the per-direction PA state of Table 3: operation mode, the
-// predicted headers, the prediction disable counter and (send side) the
-// backlog of messages awaiting processing. The side's packet filter is in
-// the connection's plan.
+// predicted headers and, on the send side only, the prediction disable
+// counter and the backlog of messages awaiting processing (on delivery a
+// frame the layers must see fails the prediction instead). The side's
+// packet filter is in the connection's plan.
 type sideState struct {
 	mode    Mode
 	predict [header.NumClasses][]byte
@@ -889,14 +888,13 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 		c.finishRecoveryLocked()
 	}
 
-	fast := c.recv.disable == 0 &&
-		cid == nil &&
+	fast := cid == nil &&
 		order == c.order &&
 		bytes.Equal(env.Hdr[header.ProtoSpec], c.recv.predict[header.ProtoSpec])
 
 	if fast {
 		c.stats.FastDelivers++
-		c.acceptDelivery(m, env, sizes, nil)
+		c.acceptDelivery(m, env, sizes, stack.Continue, -1, nil)
 	} else {
 		c.stats.SlowDelivers++
 		c.recv.mode = Pre
@@ -916,47 +914,38 @@ func (c *Conn) deliverIncoming(m *message.Msg, cid []byte, order bits.ByteOrder,
 			c.stats.PeerMigrations++
 			c.tel.Event(telemetry.EventMigration, c.outCookie, "peer address migrated to "+src)
 		}
-		switch v {
-		case stack.Continue:
-			c.acceptDelivery(m, env, sizes, nil)
-		case stack.Consume:
-			// The consuming layer owns m; layers below it accepted
-			// the message and still post-process it (§4).
-			c.stats.Consumed++
-			c.queuePostDeliverBelow(m, env, at, false)
-		default:
-			c.stats.Dropped++
-			c.queuePostDeliverBelow(m, env, at, true)
-		}
+		c.acceptDelivery(m, env, sizes, v, at, nil)
 	}
 	c.settle()
 	c.telEnd(telemetry.OpDeliver, t0)
 	c.exit()
 }
 
-// acceptDelivery queues the message's application payload(s) — unpacking
-// if packed (§3.4) — and schedules the delivery post-processing. from is
-// non-nil when re-entering above a releasing layer. The queued op owns m
-// and env.
-func (c *Conn) acceptDelivery(m *message.Msg, env *filter.Env, sizes []int, from stack.Layer) {
-	if sizes == nil {
-		c.queueApp(env.Payload)
-	} else {
+// acceptDelivery acts on the delivery pre-phases' verdict v, issued by
+// layer at: on Continue it queues the message's application payload(s) —
+// unpacking if packed (§3.4). Either way it schedules the post-processing
+// of the layers the message reached, the consuming layer included. from
+// is non-nil when re-entering above a releasing layer. The queued op owns
+// m and env.
+func (c *Conn) acceptDelivery(m *message.Msg, env *filter.Env, sizes []int, v stack.Verdict, at int, from stack.Layer) {
+	switch v {
+	case stack.Continue:
+		if sizes == nil {
+			c.queueApp(env.Payload)
+			break
+		}
 		off := 0
 		for _, sz := range sizes {
 			c.queueApp(env.Payload[off : off+sz])
 			off += sz
 		}
 		c.stats.PackedMsgs += uint64(len(sizes))
+	case stack.Consume:
+		c.stats.Consumed++
+	default:
+		c.stats.Dropped++
 	}
-	c.recv.pushPost(postOp{kind: postDeliver, m: m, env: env, from: from})
-}
-
-// queuePostDeliverBelow schedules post-processing of the layers below the
-// layer that issued a Consume or Drop verdict. For dropped messages the
-// engine still owns m and frees it afterwards.
-func (c *Conn) queuePostDeliverBelow(m *message.Msg, env *filter.Env, at int, freeAfter bool) {
-	c.recv.pushPost(postOp{kind: postDeliverBelow, m: m, env: env, at: at, free: freeAfter})
+	c.recv.pushPost(postOp{kind: postDeliver, v: v, at: at, m: m, env: env, from: from})
 }
 
 // queueApp copies one application payload into the scratch buffer and
@@ -1030,16 +1019,14 @@ func (c *Conn) settle() {
 			} else if c.appQSpare == nil {
 				c.appQSpare = q[:0]
 			}
+		case c.recv.pendingLen() > 0:
+			// Before the next release: a consuming layer's
+			// post-phase (reassembly) delivers in place.
+			c.runOnePost(&c.recv)
 		case len(c.deliverQ) > 0:
 			item := c.deliverQ[0]
 			c.deliverQ = c.deliverQ[1:]
-			if item.m.Synthetic {
-				c.releaseSynthetic(item)
-			} else {
-				c.release(item)
-			}
-		case c.recv.pendingLen() > 0:
-			c.runOnePost(&c.recv)
+			c.release(item)
 		case c.send.pendingLen() > 0:
 			c.runOnePost(&c.send)
 		case c.send.disable == 0 && len(c.send.backlog) > 0:
@@ -1067,27 +1054,10 @@ func (c *Conn) release(item releaseItem) {
 	}
 	c.recv.mode = Pre
 	ctx := c.ctx(env)
-	v, _ := c.st.DeliverAbove(ctx, item.m, item.from)
+	v, at := c.st.DeliverAbove(ctx, item.m, item.from)
 	c.putCtx(ctx)
 	c.recv.mode = Idle
-	switch v {
-	case stack.Continue:
-		c.acceptDelivery(item.m, env, sizes, item.from)
-	case stack.Consume:
-		c.stats.Consumed++
-		c.putEnv(env)
-	default:
-		c.stats.Dropped++
-		c.putEnv(env)
-		item.m.Free()
-	}
-}
-
-// releaseSynthetic delivers a layer-synthesized message (reassembled
-// fragments) that has no wire headers.
-func (c *Conn) releaseSynthetic(item releaseItem) {
-	c.queueApp(item.m.Payload())
-	item.m.Free()
+	c.acceptDelivery(item.m, env, sizes, v, at, item.from)
 }
 
 // drain runs both sides' pending post-processing to completion, receive
@@ -1131,27 +1101,11 @@ func (c *Conn) runOnePost(s *sideState) {
 	case postDeliver:
 		c.recv.mode = Post
 		ctx := c.ctx(op.env)
-		if op.from == nil {
-			c.st.PostDeliver(ctx, op.m)
-		} else {
-			c.st.PostDeliverAbove(ctx, op.m, op.from)
-		}
+		c.st.PostDeliverSpan(ctx, op.m, op.v, op.at, op.from)
 		c.putCtx(ctx)
 		c.recv.mode = Idle
 		op.m.Free()
 		c.putEnv(op.env)
-	case postDeliverBelow:
-		c.recv.mode = Post
-		ctx := c.ctx(op.env)
-		c.st.PostDeliverBelow(ctx, op.m, op.at)
-		c.putCtx(ctx)
-		c.recv.mode = Idle
-		if op.free {
-			op.m.Free()
-		}
-		c.putEnv(op.env)
-	case postFn:
-		op.fn()
 	}
 }
 
@@ -1328,16 +1282,6 @@ func (c *Conn) EnableSend() {
 	}
 }
 
-// DisableRecv implements stack.Services.
-func (c *Conn) DisableRecv() { c.recv.disable++ }
-
-// EnableRecv implements stack.Services.
-func (c *Conn) EnableRecv() {
-	if c.recv.disable > 0 {
-		c.recv.disable--
-	}
-}
-
 // SendControl implements stack.Services: a layer-generated message (§3.2)
 // traverses only the layers below the originator, then the send filter.
 func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlOpts) error {
@@ -1414,20 +1358,21 @@ func (c *Conn) SendRaw(m *message.Msg, includeConnID bool) error {
 	return nil
 }
 
-// EnqueueDeliver implements stack.Services.
+// EnqueueDeliver implements stack.Services. A synthetic message
+// (reassembled fragments, no wire headers) goes to the application in
+// place, ahead of the releases already queued.
 func (c *Conn) EnqueueDeliver(from stack.Layer, m *message.Msg) {
+	if m.Synthetic {
+		c.queueApp(m.Payload())
+		m.Free()
+		return
+	}
 	c.deliverQ = append(c.deliverQ, releaseItem{from: from, m: m})
 }
 
-// Defer implements stack.Services: the action joins the receive-side
-// post-processing queue.
-func (c *Conn) Defer(f func()) {
-	c.recv.pushPost(postOp{kind: postFn, fn: f})
-}
-
 // DebugString renders the per-connection PA state of the paper's Table 3:
-// operation modes, the predicted headers, disable counters, pending
-// post-processing, backlog, and the packet filter geometries.
+// operation modes, the predicted headers, the send disable counter and
+// backlog, pending post-processing, and the packet filter geometries.
 func (c *Conn) DebugString() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1435,10 +1380,9 @@ func (c *Conn) DebugString() string {
 	fmt.Fprintf(&b, "protocol accelerator for %s (cookie %#x, conn-ident due: %v)\n",
 		c.spec.Addr, c.outCookie, c.needConnID)
 	side := func(name string, s *sideState, filterLen int) {
-		fmt.Fprintf(&b, "  %-8s mode=%-4s disable=%d pending-post=%d",
-			name, s.mode, s.disable, s.pendingLen())
+		fmt.Fprintf(&b, "  %-8s mode=%-4s pending-post=%d", name, s.mode, s.pendingLen())
 		if name == "send" {
-			fmt.Fprintf(&b, " backlog=%d", len(s.backlog))
+			fmt.Fprintf(&b, " disable=%d backlog=%d", s.disable, len(s.backlog))
 		}
 		fmt.Fprintf(&b, " filter=%d instrs\n", filterLen)
 		fmt.Fprintf(&b, "           predicted proto-spec %x  gossip %x\n",

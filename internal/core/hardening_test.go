@@ -335,6 +335,49 @@ func TestHeartbeatAndStampInStack(t *testing.T) {
 	}
 }
 
+// TestHeartbeatHearsFastPathData: every frame that reaches the heartbeat
+// layer proves the peer alive, including data frames that match the
+// prediction and never run a pre-phase. B checks for silence every 10 ms;
+// A's keepalives are 10 s apart, so in this test B hears only A's data,
+// which streams at one message per 5 ms on the fast path.
+func TestHeartbeatHearsFastPathData(t *testing.T) {
+	var silences []time.Duration
+	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
+		hb := layers.NewHeartbeat()
+		hb.Interval = 10 * time.Second
+		if string(spec.LocalID) == "bob" {
+			hb.Interval = 10 * time.Millisecond
+			hb.OnSilence = func(d time.Duration) { silences = append(silences, d) }
+		}
+		return []stack.Layer{layers.NewChksum(), layers.NewFrag(), layers.NewWindow(), hb,
+			&layers.Ident{
+				Local: spec.LocalID, Remote: spec.RemoteID,
+				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
+				Epoch: spec.Epoch, Order: order,
+			}}, nil
+	}
+	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
+		cfgA.Build = build
+		cfgB.Build = build
+	})
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := r.a.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		r.settleNet(5 * time.Millisecond)
+	}
+	if r.fromA.count() != n {
+		t.Fatalf("B delivered %d of %d", r.fromA.count(), n)
+	}
+	if st := r.b.Stats(); st.FastDelivers < n-1 {
+		t.Fatalf("B took the fast path %d times, want at least %d", st.FastDelivers, n-1)
+	}
+	if len(silences) != 0 {
+		t.Fatalf("B reported silence %v while A's data kept arriving", silences)
+	}
+}
+
 // TestWireDeterminism runs the identical message sequence twice with
 // pinned cookies; the captured wire streams must be byte-identical —
 // a regression pin for the whole send path.

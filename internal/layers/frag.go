@@ -114,37 +114,35 @@ func (f *Frag) PreSend(ctx *stack.Context, m *message.Msg) stack.Verdict {
 // side only.
 func (f *Frag) PostSend(*stack.Context, *message.Msg) {}
 
-// PreDeliver consumes fragments into the reassembly buffer (via Defer, to
-// keep the pre phase pure) and releases the reassembled message upward
-// when the end marker arrives.
+// PreDeliver consumes fragments; PostDeliver reassembles them.
 func (f *Frag) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	hdr := ctx.Env.Hdr[header.ProtoSpec]
-	if f.isFrag.Read(hdr, ctx.Env.Order) == 0 {
+	if f.isFrag.Read(ctx.Env.Hdr[header.ProtoSpec], ctx.Env.Order) == 0 {
 		return stack.Continue
 	}
-	isLast := f.last.Read(hdr, ctx.Env.Order) == 1
-	chunk := append([]byte(nil), ctx.Env.Payload...)
-	ctx.S.Defer(func() {
-		f.assembling = append(f.assembling, chunk)
-		f.pending += len(chunk)
-		if !isLast {
-			return
-		}
-		whole := make([]byte, 0, f.pending)
-		for _, c := range f.assembling {
-			whole = append(whole, c...)
-		}
-		f.assembling = nil
-		f.pending = 0
-		out := message.New(whole)
-		out.Synthetic = true
-		ctx.S.EnqueueDeliver(f, out)
-	})
 	return stack.Consume
 }
 
-// PostDeliver implements stack.Layer.
-func (f *Frag) PostDeliver(*stack.Context, *message.Msg) {}
+// PostDeliver adds a consumed fragment to the reassembly buffer and, when
+// the end marker arrives, releases the reassembled message upward.
+func (f *Frag) PostDeliver(ctx *stack.Context, m *message.Msg) {
+	if ctx.Verdict != stack.Consume {
+		return
+	}
+	f.assembling = append(f.assembling, append([]byte(nil), ctx.Env.Payload...))
+	f.pending += len(ctx.Env.Payload)
+	if f.last.Read(ctx.Env.Hdr[header.ProtoSpec], ctx.Env.Order) == 0 {
+		return
+	}
+	whole := make([]byte, 0, f.pending)
+	for _, c := range f.assembling {
+		whole = append(whole, c...)
+	}
+	f.assembling = nil
+	f.pending = 0
+	out := message.New(whole)
+	out.Synthetic = true
+	ctx.S.EnqueueDeliver(f, out)
+}
 
 // AssemblingBytes reports the bytes buffered for reassembly (for tests
 // and introspection).

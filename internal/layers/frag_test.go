@@ -83,10 +83,9 @@ func TestFragReassembly(t *testing.T) {
 		hdr := env.Hdr[header.ProtoSpec]
 		f.isFrag.Write(hdr, env.Order, 1)
 		f.last.Write(hdr, env.Order, b1(i == len(chunks)-1))
-		if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Consume {
+		if v := h.receive(env, m); v != stack.Consume {
 			t.Fatalf("fragment %d not consumed", i)
 		}
-		h.svc.runDeferred()
 	}
 	if len(h.svc.enq) != 1 {
 		t.Fatalf("reassembled deliveries = %d", len(h.svc.enq))
@@ -105,13 +104,14 @@ func TestFragPreDeliverPure(t *testing.T) {
 	m, env := h.env([]byte("abcd"))
 	defer m.Free()
 	f.isFrag.Write(env.Hdr[header.ProtoSpec], env.Order, 1)
-	h.st.PreDeliver(h.ctx(env), m)
+	ctx := h.ctx(env)
+	v, at := h.st.PreDeliver(ctx, m)
 	if f.AssemblingBytes() != 0 {
 		t.Fatal("PreDeliver mutated reassembly state before post-processing")
 	}
-	h.svc.runDeferred()
+	h.st.PostDeliverSpan(ctx, m, v, at, nil)
 	if f.AssemblingBytes() != 4 {
-		t.Fatal("deferred action did not run")
+		t.Fatal("PostDeliver did not take the consumed fragment")
 	}
 }
 

@@ -81,6 +81,16 @@ func (h *harness) ctx(env *filter.Env) *stack.Context {
 	return &c
 }
 
+// receive runs an incoming frame through the stack as the engine's slow
+// path does: the delivery pre-phases, then the post-phases of every layer
+// the frame reached, the one that consumed or dropped it with its verdict.
+func (h *harness) receive(env *filter.Env, m *message.Msg) stack.Verdict {
+	ctx := h.ctx(env)
+	v, at := h.st.PreDeliver(ctx, m)
+	h.st.PostDeliverSpan(ctx, m, v, at, nil)
+	return v
+}
+
 // send runs PreSend+PostSend through the whole stack for payload and
 // returns the message and its env.
 func (h *harness) send(payload []byte) (*message.Msg, *filter.Env) {
@@ -117,11 +127,9 @@ type mockServices struct {
 	h           *harness
 	clock       vclock.Clock // h.clk unless a test hooks the timers
 	sendDisable int
-	recvDisable int
 	controls    []controlRec
 	raws        []rawRec
 	enq         []enqRec
-	deferred    []func()
 }
 
 func (s *mockServices) Clock() vclock.Clock { return s.clock }
@@ -130,8 +138,6 @@ func (s *mockServices) AfterFunc(d time.Duration, f func()) vclock.Timer {
 }
 func (s *mockServices) DisableSend() { s.sendDisable++ }
 func (s *mockServices) EnableSend()  { s.sendDisable-- }
-func (s *mockServices) DisableRecv() { s.recvDisable++ }
-func (s *mockServices) EnableRecv()  { s.recvDisable-- }
 
 func (s *mockServices) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlOpts) error {
 	env := s.h.attach(m)
@@ -149,17 +155,4 @@ func (s *mockServices) SendRaw(m *message.Msg, connID bool) error {
 
 func (s *mockServices) EnqueueDeliver(from stack.Layer, m *message.Msg) {
 	s.enq = append(s.enq, enqRec{from: from, m: m})
-}
-
-func (s *mockServices) Defer(f func()) { s.deferred = append(s.deferred, f) }
-
-// runDeferred executes queued post-phase actions (the engine's drain).
-func (s *mockServices) runDeferred() {
-	for len(s.deferred) > 0 {
-		fs := s.deferred
-		s.deferred = nil
-		for _, f := range fs {
-			f()
-		}
-	}
 }

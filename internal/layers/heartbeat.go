@@ -150,24 +150,23 @@ func (h *Heartbeat) PreSend(ctx *stack.Context, m *message.Msg) stack.Verdict {
 // PostSend implements stack.Layer.
 func (h *Heartbeat) PostSend(*stack.Context, *message.Msg) {}
 
-// PreDeliver consumes keepalives and notes liveness for every frame.
+// PreDeliver consumes keepalives.
 func (h *Heartbeat) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	isHB := h.hb.Read(ctx.Env.Hdr[header.ProtoSpec], ctx.Env.Order) == 1
-	ctx.S.Defer(func() {
-		h.lastHeard = h.s.Clock().Now()
-		h.silenced = false
-		if isHB {
-			h.Heard++
-		}
-	})
-	if isHB {
+	if h.hb.Read(ctx.Env.Hdr[header.ProtoSpec], ctx.Env.Order) == 1 {
 		return stack.Consume
 	}
 	return stack.Continue
 }
 
-// PostDeliver implements stack.Layer.
-func (h *Heartbeat) PostDeliver(*stack.Context, *message.Msg) {}
+// PostDeliver notes liveness for every frame that reaches the layer, fast
+// path included, and counts the keepalives it consumed.
+func (h *Heartbeat) PostDeliver(ctx *stack.Context, _ *message.Msg) {
+	h.lastHeard = h.s.Clock().Now()
+	h.silenced = false
+	if ctx.Verdict == stack.Consume {
+		h.Heard++
+	}
+}
 
 // Stop cancels the interval timer (connection teardown).
 func (h *Heartbeat) Stop() {

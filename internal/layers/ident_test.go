@@ -129,10 +129,9 @@ func TestHeartbeatConsumesKeepalives(t *testing.T) {
 	m, env := h.env(nil)
 	defer m.Free()
 	hb.hb.Write(env.Hdr[header.ProtoSpec], env.Order, 1)
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Consume {
+	if v := h.receive(env, m); v != stack.Consume {
 		t.Fatal("keepalive not consumed")
 	}
-	h.svc.runDeferred()
 	if hb.Heard != 1 {
 		t.Fatalf("heard = %d", hb.Heard)
 	}
@@ -152,8 +151,7 @@ func TestHeartbeatSilenceCallback(t *testing.T) {
 	// Traffic resets the silence state.
 	m, env := h.env([]byte("data"))
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	if hb.silenced {
 		t.Fatal("traffic did not clear silence")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"paccel/internal/header"
 	"paccel/internal/stack"
 )
 
@@ -11,9 +12,9 @@ import (
 // protocol state untouched — that is what lets the engine transmit and
 // deliver before any state update. These tests snapshot each layer's full
 // state (fmt %+v reaches scalar fields, map contents and slice contents)
-// around its pre phases and demand bit-for-bit equality whenever the
-// verdict is Continue. Effects requested via Defer run later, at
-// post-processing time, by design.
+// around its pre phases and demand bit-for-bit equality whatever the
+// verdict: a layer acts on a message it consumes or drops in its own
+// PostDeliver, never in a pre phase.
 
 func snapshot(l stack.Layer) string { return fmt.Sprintf("%+v", l) }
 
@@ -30,6 +31,7 @@ func purityCases(t *testing.T) []struct {
 	}{
 		{"chksum", NewChksum()},
 		{"frag", NewFrag()},
+		{"frag-split", &Frag{Threshold: 4}}, // PreSend consumes the probe
 		{"window", NewWindow()},
 		{"heartbeat", &Heartbeat{Interval: 1 << 30}},
 		{"stamp", NewStamp()},
@@ -47,8 +49,8 @@ func TestPreSendPurity(t *testing.T) {
 			before := snapshot(tc.layer)
 			v := tc.layer.PreSend(h.ctx(env), m)
 			after := snapshot(tc.layer)
-			if v == stack.Continue && before != after {
-				t.Fatalf("PreSend mutated state:\nbefore %s\nafter  %s", before, after)
+			if before != after {
+				t.Fatalf("PreSend (%v) mutated state:\nbefore %s\nafter  %s", v, before, after)
 			}
 		})
 	}
@@ -64,51 +66,74 @@ func TestPreDeliverPurity(t *testing.T) {
 			defer m.Free()
 			tc.layer.PreSend(h.ctx(env), m)
 			before := snapshot(tc.layer)
-			deferredBefore := len(h.svc.deferred)
-			tc.layer.PreDeliver(h.ctx(env), m)
+			v := tc.layer.PreDeliver(h.ctx(env), m)
 			after := snapshot(tc.layer)
 			if before != after {
-				t.Fatalf("PreDeliver mutated state:\nbefore %s\nafter  %s", before, after)
+				t.Fatalf("PreDeliver (%v) mutated state:\nbefore %s\nafter  %s", v, before, after)
 			}
-			// Any effects must have been requested through Defer,
-			// not applied.
-			_ = deferredBefore
 		})
 	}
 }
 
-// TestPreDeliverPurityOnControlFrames covers the window layer's ack, nak,
-// duplicate and future paths: all must defer their bookkeeping.
+// TestPreDeliverPurityOnControlFrames covers the frames a layer consumes
+// or drops — the window's ack, nak, duplicate and future frames, a
+// fragment, a keepalive: each leaves its bookkeeping to PostDeliver.
 func TestPreDeliverPurityOnControlFrames(t *testing.T) {
 	w := NewWindow()
 	w.Naks = true
 	h := windowHarness(t, w)
 	h.send([]byte("outstanding")) // so acks/naks have something to touch
+	m0, env0 := dataFrame(h, w, 0, 0, []byte("zero"))
+	defer m0.Free()
+	h.receive(env0, m0) // expected is now 1
 	cases := []struct {
 		name     string
 		typ      uint64
 		seq, ack uint32
+		want     stack.Verdict
 	}{
-		{"ack", TypeAck, 0, 1},
-		{"nak", TypeNak, 0, 0},
-		{"dup", TypeData, 0, 0},    // after delivering 0 below
-		{"future", TypeData, 5, 0}, // gap
-		{"in-seq", TypeData, 0, 0}, // normal
+		{"ack", TypeAck, 0, 1, stack.Consume},
+		{"nak", TypeNak, 0, 0, stack.Consume},
+		{"dup", TypeData, 0, 0, stack.Drop},
+		{"future", TypeData, 5, 0, stack.Consume}, // gap
+		{"in-seq", TypeData, 1, 0, stack.Continue},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m, env := ctrlFrame(h, w, c.typ, c.seq, c.ack)
-			defer func() {
-				// Future frames are consumed (owned); others freed here.
-				h.svc.deferred = nil
-				m.Free()
-			}()
+			defer m.Free()
 			before := snapshot(w)
-			w.PreDeliver(h.ctx(env), m)
+			if v := w.PreDeliver(h.ctx(env), m); v != c.want {
+				t.Fatalf("window.PreDeliver(%s) = %v, want %v", c.name, v, c.want)
+			}
 			after := snapshot(w)
 			if before != after {
 				t.Fatalf("window.PreDeliver(%s) mutated state:\nbefore %s\nafter  %s",
 					c.name, before, after)
+			}
+		})
+	}
+
+	f, hb := NewFrag(), &Heartbeat{Interval: 1 << 30}
+	for _, c := range []struct {
+		name  string
+		h     *harness
+		layer stack.Layer
+		bit   *header.Handle // set at Init
+	}{
+		{"fragment", newHarness(t, f), f, &f.isFrag},
+		{"keepalive", newHarness(t, hb), hb, &hb.hb},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, env := c.h.env([]byte("x"))
+			defer m.Free()
+			c.bit.Write(env.Hdr[header.ProtoSpec], env.Order, 1)
+			before := snapshot(c.layer)
+			if v := c.layer.PreDeliver(c.h.ctx(env), m); v != stack.Consume {
+				t.Fatalf("%s: verdict %v, want consume", c.name, v)
+			}
+			if after := snapshot(c.layer); before != after {
+				t.Fatalf("PreDeliver(%s) mutated state:\nbefore %s\nafter  %s", c.name, before, after)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ type Window struct {
 	ack header.Handle // Gossip: cumulative acknowledgement (next expected)
 
 	// Captured at Prime: the engine's service surface and the stable
-	// prediction buffers, needed by timers and deferred actions.
+	// prediction buffers, needed by timers.
 	s     stack.Services
 	order bits.ByteOrder
 	pSend [header.NumClasses][]byte
@@ -321,80 +321,70 @@ func (w *Window) PostSend(ctx *stack.Context, m *message.Msg) {
 
 func (w *Window) inflight() uint32 { return w.nextSeq - w.ackedTo }
 
-// PreDeliver classifies an incoming frame. All bookkeeping is deferred to
-// post-processing; the phase itself only reads.
+// PreDeliver classifies an incoming frame: control frames are consumed,
+// duplicates dropped, future frames consumed for in-order release, and
+// the expected data frame continues. It only reads; PostDeliver acts.
 func (w *Window) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	order := ctx.Env.Order
 	hdr := ctx.Env.Hdr[header.ProtoSpec]
-	typ := w.typ.Read(hdr, order)
-	seq := uint32(w.seq.Read(hdr, order))
-	ackVal := uint32(w.ack.Read(ctx.Env.Hdr[header.Gossip], order))
+	if w.typ.Read(hdr, ctx.Env.Order) != TypeData {
+		return stack.Consume
+	}
+	switch seq := uint32(w.seq.Read(hdr, ctx.Env.Order)); {
+	case seq == w.expected:
+		return stack.Continue
+	case seqLT(seq, w.expected):
+		return stack.Drop
+	default:
+		return stack.Consume
+	}
+}
 
-	switch typ {
+// PostDeliver processes the frame's piggybacked cumulative ack. For a
+// delivered frame — fast path (no PreDeliver) or slow — it advances the
+// receive window, releases any directly following buffered frames,
+// schedules acknowledgements, and predicts the next incoming frame. For a
+// frame the window consumed or dropped (ctx.Verdict) it handles the
+// control frame, the duplicate or the future frame.
+func (w *Window) PostDeliver(ctx *stack.Context, m *message.Msg) {
+	order := ctx.Env.Order
+	w.processAck(uint32(w.ack.Read(ctx.Env.Hdr[header.Gossip], order)))
+	if ctx.Verdict == stack.Continue {
+		w.advance()
+		w.predictRecv()
+		w.predictSend() // piggyback prediction now carries the fresh ack
+		return
+	}
+	hdr := ctx.Env.Hdr[header.ProtoSpec]
+	seq := uint32(w.seq.Read(hdr, order))
+	switch w.typ.Read(hdr, order) {
 	case TypeAck:
-		ctx.S.Defer(func() {
-			w.Stats.AcksReceived++
-			w.processAck(ackVal)
-		})
-		return stack.Consume
+		w.Stats.AcksReceived++
 	case TypeNak:
-		ctx.S.Defer(func() {
-			w.Stats.NaksReceived++
-			w.processAck(ackVal)
-			w.resend(seq)
-		})
-		return stack.Consume
+		w.Stats.NaksReceived++
+		w.resend(seq)
 	case TypeProbe:
 		// Session-resumption probe: the peer is recovering. Answer
 		// with an identified ack so it re-learns our cookie and sees
 		// our cumulative ack — that reply is what completes the
 		// peer's recovery.
-		ctx.S.Defer(func() {
-			w.Stats.ProbesReceived++
-			w.processAck(ackVal)
-			w.sendAckIdent(true)
-		})
-		return stack.Consume
-	}
-
-	// Data. For a deliverable frame the piggybacked ack is handled by
-	// PostDeliver (which also runs on the engine's fast path); for
-	// dropped or buffered frames it is deferred here.
-	switch {
-	case seq == w.expected:
-		return stack.Continue
-	case seqLT(seq, w.expected):
-		// Duplicate: the peer may have missed our ack; re-ack now.
-		// A duplicate means recovery is in progress, so this is an
-		// "unusual" message: it carries the connection identification
-		// (§2.2) in case the peer never learned our cookie.
-		ctx.S.Defer(func() {
-			w.Stats.Dups++
-			w.processAck(ackVal)
-			w.sendAckIdent(true)
-		})
-		return stack.Drop
+		w.Stats.ProbesReceived++
+		w.sendAckIdent(true)
 	default:
-		// Future frame: a gap exists; keep it for in-order release.
-		ctx.S.Defer(func() {
-			w.Stats.Futures++
-			w.processAck(ackVal)
-			w.storeFuture(seq, m)
-		})
-		return stack.Consume
+		if ctx.Verdict == stack.Drop {
+			// Duplicate: the peer may have missed our ack; re-ack
+			// now. A duplicate means recovery is in progress, so this
+			// is an "unusual" message: it carries the connection
+			// identification (§2.2) in case the peer never learned
+			// our cookie.
+			w.Stats.Dups++
+			w.sendAckIdent(true)
+			return
+		}
+		// Future frame: a gap exists; keep a copy for in-order
+		// release (the engine frees m).
+		w.Stats.Futures++
+		w.storeFuture(seq, m)
 	}
-}
-
-// PostDeliver processes the frame's piggybacked cumulative ack, advances
-// the receive window past the in-sequence frame just delivered, releases
-// any directly following buffered frames, schedules acknowledgements, and
-// predicts the next incoming frame. It runs on both the fast path (no
-// PreDeliver) and the slow path.
-func (w *Window) PostDeliver(ctx *stack.Context, m *message.Msg) {
-	w.processAck(uint32(w.ack.Read(ctx.Env.Hdr[header.Gossip], ctx.Env.Order)))
-	w.advance()
-	w.predictRecv()
-	w.predictSend() // piggyback prediction now carries the fresh ack
 }
 
 // advance moves expected forward by one delivered frame plus any buffered
@@ -442,9 +432,10 @@ func (w *Window) onAckTimer() {
 	}
 }
 
+// storeFuture keeps a clone of future frame m for in-order release,
+// unless it is absurdly far ahead or already held.
 func (w *Window) storeFuture(seq uint32, m *message.Msg) {
 	if seq-w.expected > 4*w.size() {
-		m.Free() // absurdly far ahead
 		return
 	}
 	if w.oooBuf == nil {
@@ -452,10 +443,9 @@ func (w *Window) storeFuture(seq uint32, m *message.Msg) {
 	}
 	i := int(seq) & (len(w.oooBuf) - 1)
 	if w.oooBuf[i] != nil {
-		m.Free() // duplicate future
 		return
 	}
-	w.oooBuf[i] = m
+	w.oooBuf[i] = m.Clone()
 	w.buffered++
 	w.Stats.FuturesStored++
 	w.maybeNak(seq)

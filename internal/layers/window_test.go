@@ -87,10 +87,9 @@ func TestWindowFillsAndDisables(t *testing.T) {
 	// Ack both: window reopens.
 	m, env := ctrlFrame(h, w, TypeAck, 0, 2)
 	defer m.Free()
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Consume {
+	if v := h.receive(env, m); v != stack.Consume {
 		t.Fatal("ack not consumed")
 	}
-	h.svc.runDeferred()
 	if h.svc.sendDisable != 0 {
 		t.Fatalf("disable count after ack = %d", h.svc.sendDisable)
 	}
@@ -107,12 +106,9 @@ func TestWindowInSequenceDelivery(t *testing.T) {
 	h := windowHarness(t, w)
 	m, env := dataFrame(h, w, 0, 0, []byte("x"))
 	defer m.Free()
-	ctx := h.ctx(env)
-	if v, _ := h.st.PreDeliver(ctx, m); v != stack.Continue {
+	if v := h.receive(env, m); v != stack.Continue {
 		t.Fatal("in-seq frame not delivered")
 	}
-	h.st.PostDeliver(ctx, m)
-	h.svc.runDeferred()
 	if w.Expected() != 1 {
 		t.Fatalf("expected = %d", w.Expected())
 	}
@@ -131,17 +127,13 @@ func TestWindowDuplicateDropsAndReacks(t *testing.T) {
 	h := windowHarness(t, w)
 	m, env := dataFrame(h, w, 0, 0, []byte("x"))
 	defer m.Free()
-	ctx := h.ctx(env)
-	h.st.PreDeliver(ctx, m)
-	h.st.PostDeliver(ctx, m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 
 	dup, denv := dataFrame(h, w, 0, 0, []byte("x"))
 	defer dup.Free()
-	if v, _ := h.st.PreDeliver(h.ctx(denv), dup); v != stack.Drop {
+	if v := h.receive(denv, dup); v != stack.Drop {
 		t.Fatal("duplicate not dropped")
 	}
-	h.svc.runDeferred()
 	if w.Stats.Dups != 1 {
 		t.Fatalf("dups = %d", w.Stats.Dups)
 	}
@@ -166,10 +158,9 @@ func TestWindowFutureBufferedAndReleased(t *testing.T) {
 	h := windowHarness(t, w)
 	// Frame 1 arrives before frame 0.
 	f1, env1 := dataFrame(h, w, 1, 0, []byte("one"))
-	if v, _ := h.st.PreDeliver(h.ctx(env1), f1); v != stack.Consume {
+	if v := h.receive(env1, f1); v != stack.Consume {
 		t.Fatal("future frame not consumed")
 	}
-	h.svc.runDeferred()
 	if w.Stats.FuturesStored != 1 {
 		t.Fatalf("futures stored = %d", w.Stats.FuturesStored)
 	}
@@ -180,12 +171,9 @@ func TestWindowFutureBufferedAndReleased(t *testing.T) {
 	// Frame 0 arrives: deliver, then release frame 1 via EnqueueDeliver.
 	f0, env0 := dataFrame(h, w, 0, 0, []byte("zero"))
 	defer f0.Free()
-	ctx := h.ctx(env0)
-	if v, _ := h.st.PreDeliver(ctx, f0); v != stack.Continue {
+	if v := h.receive(env0, f0); v != stack.Continue {
 		t.Fatal("in-seq frame rejected")
 	}
-	h.st.PostDeliver(ctx, f0)
-	h.svc.runDeferred()
 	if len(h.svc.enq) != 1 {
 		t.Fatalf("enqueued releases = %d", len(h.svc.enq))
 	}
@@ -204,10 +192,9 @@ func TestWindowNakTriggersResend(t *testing.T) {
 	h.send([]byte("frame1"))
 	m, env := ctrlFrame(h, w, TypeNak, 1, 0)
 	defer m.Free()
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Consume {
+	if v := h.receive(env, m); v != stack.Consume {
 		t.Fatal("nak not consumed")
 	}
-	h.svc.runDeferred()
 	if len(h.svc.raws) != 1 {
 		t.Fatalf("raw resends = %d", len(h.svc.raws))
 	}
@@ -248,8 +235,7 @@ func TestWindowAckStopsRetransmit(t *testing.T) {
 	h.send([]byte("a"))
 	m, env := ctrlFrame(h, w, TypeAck, 0, 1)
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	h.clk.Advance(10 * w.rto())
 	if len(h.svc.raws) != 0 {
 		t.Fatalf("retransmits after full ack = %d", len(h.svc.raws))
@@ -261,10 +247,7 @@ func TestWindowDelayedAck(t *testing.T) {
 	h := windowHarness(t, w)
 	m, env := dataFrame(h, w, 0, 0, []byte("x"))
 	defer m.Free()
-	ctx := h.ctx(env)
-	h.st.PreDeliver(ctx, m)
-	h.st.PostDeliver(ctx, m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	if w.Stats.AcksSent != 0 {
 		t.Fatal("acked immediately despite small pending count")
 	}
@@ -280,10 +263,7 @@ func TestWindowAckEveryThreshold(t *testing.T) {
 	h := windowHarness(t, w)
 	for i := uint32(0); i < 2; i++ {
 		m, env := dataFrame(h, w, i, 0, []byte("x"))
-		ctx := h.ctx(env)
-		h.st.PreDeliver(ctx, m)
-		h.st.PostDeliver(ctx, m)
-		h.svc.runDeferred()
+		h.receive(env, m)
 		m.Free()
 	}
 	if w.Stats.AcksSent != 1 {
@@ -296,10 +276,7 @@ func TestWindowPiggybackSuppressesAck(t *testing.T) {
 	h := windowHarness(t, w)
 	m, env := dataFrame(h, w, 0, 0, []byte("x"))
 	defer m.Free()
-	ctx := h.ctx(env)
-	h.st.PreDeliver(ctx, m)
-	h.st.PostDeliver(ctx, m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	// Reverse data goes out before the delayed ack fires: it piggybacks.
 	h.send([]byte("reply"))
 	h.clk.Advance(10 * w.delayedAck())
@@ -309,8 +286,8 @@ func TestWindowPiggybackSuppressesAck(t *testing.T) {
 }
 
 func TestWindowPreDeliverIsPure(t *testing.T) {
-	// PreDeliver on a data frame defers all bookkeeping: state must be
-	// unchanged until runDeferred.
+	// PreDeliver on a future data frame only classifies it: the
+	// bookkeeping waits for PostDeliver.
 	w := NewWindow()
 	h := windowHarness(t, w)
 	m, env := dataFrame(h, w, 5, 3, nil) // future frame with ack info
@@ -347,13 +324,11 @@ func TestWindowStaleAckIgnored(t *testing.T) {
 	h.send([]byte("b"))
 	m, env := ctrlFrame(h, w, TypeAck, 0, 2)
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	// A stale ack (1) arrives late: must not regress.
 	m2, env2 := ctrlFrame(h, w, TypeAck, 0, 1)
 	defer m2.Free()
-	h.st.PreDeliver(h.ctx(env2), m2)
-	h.svc.runDeferred()
+	h.receive(env2, m2)
 	if w.ackedTo != 2 {
 		t.Fatalf("ackedTo = %d", w.ackedTo)
 	}
@@ -389,8 +364,7 @@ func TestWindowFarFutureFreed(t *testing.T) {
 		stored int
 	}{{1000, 0}, {25, 0}, {24, 1}, {24, 1}, {1, 2}} {
 		far, env := dataFrame(h, w, c.seq, 0, nil)
-		h.st.PreDeliver(h.ctx(env), far)
-		h.svc.runDeferred()
+		h.receive(env, far)
 		if w.buffered != c.stored || w.Stats.FuturesStored != uint64(c.stored) {
 			t.Fatalf("after future %d: %d buffered, %d stored, want %d",
 				c.seq, w.buffered, w.Stats.FuturesStored, c.stored)
@@ -439,8 +413,7 @@ func TestAdaptiveRTOEstimation(t *testing.T) {
 	h.clk.Advance(500 * time.Microsecond)
 	m, env := ctrlFrame(h, w, TypeAck, 0, 1)
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	srtt, rttvar := w.RTTEstimate()
 	if srtt != 500*time.Microsecond || rttvar != 250*time.Microsecond {
 		t.Fatalf("first sample: srtt=%v rttvar=%v", srtt, rttvar)
@@ -466,8 +439,7 @@ func TestAdaptiveRTOKarnsRule(t *testing.T) {
 	h.clk.Advance(time.Millisecond)
 	m, env := ctrlFrame(h, w, TypeAck, 0, 1)
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 	if srtt, _ := w.RTTEstimate(); srtt != 0 {
 		t.Fatalf("retransmitted frame contributed a sample: srtt=%v", srtt)
 	}
@@ -484,8 +456,7 @@ func TestAdaptiveRTOConvergence(t *testing.T) {
 		h.send([]byte("x"))
 		h.clk.Advance(40 * time.Millisecond)
 		m, env := ctrlFrame(h, w, TypeAck, 0, i+1)
-		h.st.PreDeliver(h.ctx(env), m)
-		h.svc.runDeferred()
+		h.receive(env, m)
 		m.Free()
 	}
 	srtt, _ := w.RTTEstimate()
@@ -503,20 +474,16 @@ func deliver(h *harness, w *Window, seq, ack uint32) {
 	h.t.Helper()
 	m, env := dataFrame(h, w, seq, ack, []byte("x"))
 	defer m.Free()
-	ctx := h.ctx(env)
-	if v, _ := h.st.PreDeliver(ctx, m); v != stack.Continue {
+	if v := h.receive(env, m); v != stack.Continue {
 		h.t.Fatalf("frame %d not deliverable: %v", seq, v)
 	}
-	h.st.PostDeliver(ctx, m)
-	h.svc.runDeferred()
 }
 
 // ackTo feeds the window a standalone cumulative acknowledgement.
 func ackTo(h *harness, w *Window, ack uint32) {
 	m, env := ctrlFrame(h, w, TypeAck, 0, ack)
 	defer m.Free()
-	h.st.PreDeliver(h.ctx(env), m)
-	h.svc.runDeferred()
+	h.receive(env, m)
 }
 
 // The delayed ack is due DelayedAck after the first delivery it covers.
@@ -659,10 +626,9 @@ func TestWindowRingsAcrossSeqWrap(t *testing.T) {
 		futures := 4 * n
 		for i := futures; i >= 1; i-- {
 			m, env := dataFrame(h, w, start+i, 0, []byte{byte(i)})
-			if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Consume {
+			if v := h.receive(env, m); v != stack.Consume {
 				t.Fatalf("size %d: future %d not consumed", size, i)
 			}
-			h.svc.runDeferred()
 		}
 		if w.buffered != int(futures) {
 			t.Fatalf("size %d: buffered = %d, want %d", size, w.buffered, futures)
@@ -726,8 +692,7 @@ func TestWindowCloseLeavesNoTimer(t *testing.T) {
 	h.send([]byte("a"))
 	deliver(h, w, 0, 0)
 	far, env := dataFrame(h, w, 3, 0, nil)
-	h.st.PreDeliver(h.ctx(env), far)
-	h.svc.runDeferred()
+	h.receive(env, far)
 	if got := h.clk.PendingCount(); got != 2 {
 		t.Fatalf("pending timers = %d, want rto + delayed ack", got)
 	}

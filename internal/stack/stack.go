@@ -8,12 +8,6 @@
 // protocol-specific header (§3.2). Because pre phases are pure, the engine
 // may run all pre phases before any post phase, transmit or deliver in
 // between, and defer the post phases off the critical path entirely.
-//
-// A layer that must act from a pre phase (send a nak, release a buffered
-// message) does not mutate anything directly; it registers the action with
-// Services.Defer, and the engine runs it at post-processing time. This
-// keeps the canonical-form property testable: a pre phase that returns
-// Continue leaves its layer bit-for-bit unchanged.
 package stack
 
 import (
@@ -60,10 +54,14 @@ func (v Verdict) String() string {
 // Init registers header fields and packet-filter instructions. Prime runs
 // once, after the schema is compiled, to fill in the initial predicted
 // headers (and, for the bottom layer, the connection identification).
-// The four phase methods implement canonical protocol processing; the Pre*
-// methods must not modify layer state (use ctx.S.Defer for actions), the
-// Post* methods update state and rewrite this layer's fields in the
-// predicted headers.
+// The four phase methods implement canonical protocol processing. The Pre*
+// methods change no layer state; PreDeliver has no effects at all (PreSend
+// may emit control messages in place of the message it consumes, as
+// fragmentation does). Every delivery-side state change is in
+// PostDeliver, which runs for every layer the message reached, including
+// the one that returned Consume or Drop: that layer finds its verdict in
+// Context.Verdict, the others find Continue. The Post* methods also
+// rewrite this layer's fields in the predicted headers.
 type Layer interface {
 	// Name identifies the layer in schema reports and errors.
 	Name() string
@@ -80,7 +78,9 @@ type Layer interface {
 	// message.
 	PreDeliver(ctx *Context, m *message.Msg) Verdict
 	// PostDeliver updates protocol state after a delivery and predicts
-	// the layer's fields for the next incoming message.
+	// the layer's fields for the next incoming message. It also runs
+	// after this layer's PreDeliver returned Consume or Drop, with the
+	// verdict in ctx.Verdict; the engine frees m when it returns.
 	PostDeliver(ctx *Context, m *message.Msg)
 }
 
@@ -114,6 +114,11 @@ type Context struct {
 	PredictRecv [header.NumClasses][]byte
 	// S is the engine's service surface.
 	S Services
+	// Verdict is what this layer's PreDeliver returned, during the
+	// PostDeliver of a layer that consumed or dropped the message. It
+	// is Continue (the zero value) for every other layer, in every
+	// other phase and on the fast path, where no pre phase runs.
+	Verdict Verdict
 }
 
 // ControlOpts parameterizes a layer-generated message (§3.2: acks,
@@ -141,9 +146,6 @@ type Services interface {
 	// While non-zero, application sends go to the backlog.
 	DisableSend()
 	EnableSend()
-	// DisableRecv and EnableRecv are the delivery-side counterpart.
-	DisableRecv()
-	EnableRecv()
 	// SendControl emits a layer-generated message from the given layer.
 	// It traverses only the layers below from (§3.2), then the send
 	// packet filter, and is transmitted immediately (control messages
@@ -154,12 +156,10 @@ type Services interface {
 	// filter runs.
 	SendRaw(m *message.Msg, includeConnID bool) error
 	// EnqueueDeliver re-enters the delivery path above from with a
-	// message the layer had buffered (reassembled data, in-order
-	// release).
+	// message the layer had buffered (in-order release). A Synthetic
+	// message (reassembled data) goes to the application in place,
+	// ahead of anything released after it.
 	EnqueueDeliver(from Layer, m *message.Msg)
-	// Defer queues f to run during post-processing of the current
-	// critical path. It is the only way a pre phase may cause effects.
-	Defer(f func())
 }
 
 // Resumer is implemented by layers that take part in session
@@ -262,19 +262,29 @@ func (s *Stack) preDeliverAbove(ctx *Context, m *message.Msg, from int) (Verdict
 
 // PostDeliver runs the delivery post-phases bottom to top.
 func (s *Stack) PostDeliver(ctx *Context, m *message.Msg) {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		s.layers[i].PostDeliver(ctx, m)
-	}
+	s.PostDeliverSpan(ctx, m, Continue, -1, nil)
 }
 
-// PostDeliverBelow runs the delivery post-phases of the layers strictly
-// below index i, bottom to top. When a layer buffers or drops a message in
-// pre-processing, the layers underneath it had accepted the message and
-// still get their post-processing ("the message is handed to the stack
-// again for post-processing", §4).
-func (s *Stack) PostDeliverBelow(ctx *Context, m *message.Msg, i int) {
-	for j := len(s.layers) - 1; j > i; j-- {
-		s.layers[j].PostDeliver(ctx, m)
+// PostDeliverSpan runs the delivery post-phases of the layers a message
+// reached: v and at are what PreDeliver or DeliverAbove returned, and end
+// is the releasing layer the message re-entered above (nil: it came from
+// the network). On Continue (at is -1) every layer above end runs, bottom
+// to top. On Consume or Drop, layer at runs first with ctx.Verdict set to
+// v, then the layers between it and end, bottom to top: they had accepted
+// the message and still get their post-processing ("the message is handed
+// to the stack again for post-processing", §4).
+func (s *Stack) PostDeliverSpan(ctx *Context, m *message.Msg, v Verdict, at int, end Layer) {
+	bottom := len(s.layers)
+	if end != nil {
+		bottom = s.mustIndex(end)
+	}
+	if v != Continue {
+		ctx.Verdict = v
+		s.layers[at].PostDeliver(ctx, m)
+		ctx.Verdict = Continue
+	}
+	for i := bottom - 1; i > at; i-- {
+		s.layers[i].PostDeliver(ctx, m)
 	}
 }
 
@@ -304,14 +314,6 @@ func (s *Stack) ControlPostSend(ctx *Context, m *message.Msg, from Layer) {
 // when a layer releases a buffered message.
 func (s *Stack) DeliverAbove(ctx *Context, m *message.Msg, from Layer) (Verdict, int) {
 	return s.preDeliverAbove(ctx, m, s.mustIndex(from))
-}
-
-// PostDeliverAbove runs the delivery post-phases of the layers above from.
-func (s *Stack) PostDeliverAbove(ctx *Context, m *message.Msg, from Layer) {
-	i := s.mustIndex(from)
-	for j := i - 1; j >= 0; j-- {
-		s.layers[j].PostDeliver(ctx, m)
-	}
 }
 
 func (s *Stack) mustIndex(l Layer) int {

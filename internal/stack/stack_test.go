@@ -28,7 +28,11 @@ func (p *probe) PreDeliver(*Context, *message.Msg) Verdict {
 	*p.log = append(*p.log, p.name+".preD")
 	return p.preDel
 }
-func (p *probe) PostDeliver(*Context, *message.Msg) {
+func (p *probe) PostDeliver(ctx *Context, _ *message.Msg) {
+	if ctx.Verdict != Continue {
+		*p.log = append(*p.log, p.name+".postD("+ctx.Verdict.String()+")")
+		return
+	}
 	*p.log = append(*p.log, p.name+".postD")
 }
 
@@ -152,8 +156,35 @@ func TestDeliverAboveOnly(t *testing.T) {
 	eq(t, log, "a.preD") // only above b
 
 	log = nil
-	s.PostDeliverAbove(&Context{}, m, ps[1])
+	s.PostDeliverSpan(&Context{}, m, Continue, -1, ps[1])
 	eq(t, log, "a.postD")
+}
+
+// A layer that consumes or drops a message post-processes it first, with
+// its verdict; the layers between it and the span's end follow, bottom to
+// top, with Continue.
+func TestPostDeliverSpan(t *testing.T) {
+	var log []string
+	ps := probes(&log, "a", "b", "c", "d")
+	ps[2].preDel = Drop
+	s := mkStack(t, ps)
+	m := message.New(nil)
+	defer m.Free()
+	ctx := &Context{}
+	v, at := s.PreDeliver(ctx, m)
+	log = nil
+	s.PostDeliverSpan(ctx, m, v, at, nil)
+	eq(t, log, "c.postD(drop)", "d.postD")
+	if ctx.Verdict != Continue {
+		t.Fatalf("ctx.Verdict = %v after the span, want continue", ctx.Verdict)
+	}
+
+	// A release from d re-enters above it; b consumes.
+	ps[2].preDel, ps[1].preDel = Continue, Consume
+	v, at = s.DeliverAbove(ctx, m, ps[3])
+	log = nil
+	s.PostDeliverSpan(ctx, m, v, at, ps[3])
+	eq(t, log, "b.postD(consume)", "c.postD")
 }
 
 func TestDuplicateLayerRejected(t *testing.T) {
