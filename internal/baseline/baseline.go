@@ -11,8 +11,13 @@
 //   - the full connection identification travels on *every* message — no
 //     preamble, no cookies;
 //   - every send and every delivery runs pre- AND post-processing of all
-//     layers synchronously on the critical path — no prediction, no
-//     packet filters, no lazy post-processing, no packing;
+//     layers synchronously on the critical path — no prediction, no lazy
+//     post-processing, no packing;
+//   - the layers' packet filters, their only code for message-specific
+//     fields, run once per frame here too: the send filter after the
+//     send pre-phases, the delivery filter before the delivery ones.
+//     Nothing supplies them an AEAD, so a stack with the encryption
+//     layer fails every send;
 //   - headers are always big-endian ("network byte order"), the
 //     traditional convention.
 //

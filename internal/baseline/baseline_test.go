@@ -356,3 +356,27 @@ func TestBaselineSixLayerStack(t *testing.T) {
 // type aliases keeping the test above readable.
 type bitsOrder = bits.ByteOrder
 type stackLayer = stack.Layer
+
+// The baseline runs the layers' compiled delivery filter on every frame,
+// so a corrupted fragment is dropped and retransmitted like any other
+// corrupted frame, never reassembled into the message.
+func TestBaselineDropsCorruptFragments(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789"), 1200) // 12000 B: two fragments
+	var corrupted uint64
+	for seed := int64(1); seed <= 8; seed++ {
+		r := newRig(t, netsim.Config{Latency: 50 * time.Microsecond, CorruptRate: 0.5, Seed: seed})
+		if err := r.a.Send(big); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100 && r.fromA.count() == 0; i++ {
+			r.clk.Advance(300 * time.Millisecond)
+		}
+		if r.fromA.count() != 1 || !bytes.Equal(r.fromA.get(0), big) {
+			t.Fatalf("seed %d: %d messages delivered, want the original once", seed, r.fromA.count())
+		}
+		corrupted += r.net.Stats().Corrupted
+	}
+	if corrupted == 0 {
+		t.Fatal("no frame was corrupted")
+	}
+}

@@ -29,6 +29,9 @@ type Conn struct {
 	st      *stack.Stack
 	schema  *header.Schema
 	hdrSize int
+	// sendF and recvF are the layers' packet filters, compiled against
+	// the layered schema: the only code for message-specific fields.
+	sendF, recvF *filter.Program
 	// identRanges are the byte ranges of the connection identification
 	// fields, copied into every outgoing header from the primed buffer.
 	identRanges [][2]int
@@ -66,15 +69,17 @@ func newConn(ep *Endpoint, spec core.PeerSpec) (*Conn, error) {
 	}
 	c := &Conn{ep: ep, spec: spec, st: st}
 	c.schema = header.New()
-	ic := &stack.InitContext{
-		Schema:     c.schema,
-		SendFilter: filter.NewBuilder(), // discarded: the baseline has no filters
-		RecvFilter: filter.NewBuilder(),
-	}
-	if err := st.Init(ic); err != nil {
+	sb, rb := filter.NewBuilder(), filter.NewBuilder()
+	if err := st.Init(&stack.InitContext{Schema: c.schema, SendFilter: sb, RecvFilter: rb}); err != nil {
 		return nil, err
 	}
 	if err := c.schema.CompileLayered(); err != nil {
+		return nil, err
+	}
+	if c.sendF, err = sb.Build(); err != nil {
+		return nil, err
+	}
+	if c.recvF, err = rb.Build(); err != nil {
 		return nil, err
 	}
 	c.hdrSize = c.schema.TotalSize()
@@ -177,6 +182,9 @@ func (c *Conn) sendLocked(m *message.Msg) error {
 	env := envFor(hdr, m.Payload(), c.nowMicros())
 	ctx := c.ctx(env)
 	v, _ := c.st.PreSend(ctx, m)
+	if v == stack.Continue && c.sendF.Run(env) != filter.StatusOK {
+		v = stack.Drop
+	}
 	switch v {
 	case stack.Continue:
 		c.transmit(m)
@@ -226,16 +234,18 @@ func (c *Conn) deliverIncoming(datagram []byte) {
 		m.Free()
 		return
 	}
-	b := m.Bytes()
-	if len(b) < c.hdrSize {
+	// Views, not pops: a layer may buffer m and release it later, when
+	// the header must still be in place.
+	var env *filter.Env
+	if b := m.Bytes(); len(b) >= c.hdrSize {
+		env = envFor(b[:c.hdrSize], b[c.hdrSize:], c.nowMicros())
+	}
+	if env == nil || c.recvF.Run(env) != filter.StatusOK {
 		c.stats.Dropped++
 		c.mu.Unlock()
 		m.Free()
 		return
 	}
-	// Views, not pops: a layer may buffer m and release it later, when
-	// the header must still be in place.
-	env := envFor(b[:c.hdrSize], b[c.hdrSize:], c.nowMicros())
 	ctx := c.ctx(env)
 	v, at := c.st.PreDeliver(ctx, m)
 	c.postDeliver(ctx, m, v, at, nil)
@@ -377,20 +387,9 @@ func (c *Conn) SendControl(from stack.Layer, m *message.Msg, opts stack.ControlO
 		opts.Build(env)
 	}
 	ctx := c.ctx(env)
-	if v, _ := c.st.ControlSend(ctx, m, from); v != stack.Continue {
+	if v, _ := c.st.ControlSend(ctx, m, from); v != stack.Continue || c.sendF.Run(env) != filter.StatusOK {
 		m.Free()
 		return ErrSendFailed
-	}
-	// The baseline has no packet filters, so the layers above the
-	// originator never fill their message-specific fields; recompute the
-	// ones every message needs by running the full top-of-stack pre
-	// phases is not possible without those layers' involvement — the
-	// chksum layer's fields are instead filled here via its own
-	// interface: control messages run the *whole* stack's PreSend above
-	// the originator too in traditional systems. We approximate by
-	// running pre-send of all layers above from as well.
-	for i := 0; i < c.st.Index(from); i++ {
-		c.st.Layers()[i].PreSend(ctx, m)
 	}
 	c.transmit(m)
 	c.stats.ControlMsgs++

@@ -591,12 +591,6 @@ func (c *Conn) sendMsg(m *message.Msg, sizes []int) error {
 	msgRegion := m.Push(size[header.MsgSpec])
 	proto := m.Push(size[header.ProtoSpec])
 
-	// Fast path: copy the predicted headers over the regions, then let
-	// the send packet filter fill in the message-specific information.
-	copy(proto, c.send.predict[header.ProtoSpec])
-	copy(msgRegion, c.send.predict[header.MsgSpec])
-	copy(gos, c.send.predict[header.Gossip])
-
 	env := c.getEnv()
 	env.Payload = m.Payload()
 	env.Order = c.order
@@ -605,37 +599,42 @@ func (c *Conn) sendMsg(m *message.Msg, sizes []int) error {
 	env.Hdr[header.MsgSpec] = msgRegion
 	env.Hdr[header.Gossip] = gos
 
-	switch status := c.plan.send.Run(env); {
-	case status == filter.StatusOK:
-		c.transmit(m)
-		c.stats.FastSends++
-		c.queuePostSend(m, env)
-		c.telEnd(telemetry.OpSendPre, t0)
-		return nil
-	case status == filter.StatusDrop || status == filter.StatusFault:
-		m.Free()
-		c.putEnv(env)
-		c.stats.SendErrors++
-		c.telEnd(telemetry.OpSendPre, t0)
-		return fmt.Errorf("%w (status %d)", ErrSendFailed, status)
-	default:
+	// A payload over the stack's declared frame limit goes to the layers,
+	// which split it (§6), before any filter runs.
+	if len(env.Payload) > c.plan.maxPayload {
 		err := c.sendSlow(m, env)
 		c.telEnd(telemetry.OpSendPre, t0)
 		return err
 	}
+
+	// Fast path: copy the predicted headers over the regions, then let
+	// the send packet filter fill in the message-specific information.
+	copy(proto, c.send.predict[header.ProtoSpec])
+	copy(msgRegion, c.send.predict[header.MsgSpec])
+	copy(gos, c.send.predict[header.Gossip])
+	if status := c.plan.send.Run(env); status != filter.StatusOK {
+		c.telEnd(telemetry.OpSendPre, t0)
+		return c.refuse(m, env, status)
+	}
+	c.transmit(m)
+	c.stats.FastSends++
+	c.queuePostSend(m, env)
+	c.telEnd(telemetry.OpSendPre, t0)
+	return nil
 }
 
-// sendSlow is the layered path: zero the header regions and let every
-// layer's pre-send build them.
+// sendSlow is the layered path: every layer's pre-send builds the zeroed
+// header regions, then the send filter fills in the message-specific
+// fields, as for a control message.
 func (c *Conn) sendSlow(m *message.Msg, env *filter.Env) error {
-	clear(env.Hdr[header.ProtoSpec])
-	clear(env.Hdr[header.MsgSpec])
-	clear(env.Hdr[header.Gossip])
 	ctx := c.ctx(env)
 	v, _ := c.st.PreSend(ctx, m)
 	c.putCtx(ctx)
 	switch v {
 	case stack.Continue:
+		if status := c.plan.send.Run(env); status != filter.StatusOK {
+			return c.refuse(m, env, status)
+		}
 		c.transmit(m)
 		c.stats.SlowSends++
 		c.queuePostSend(m, env)
@@ -652,6 +651,15 @@ func (c *Conn) sendSlow(m *message.Msg, env *filter.Env) error {
 		c.stats.SendErrors++
 		return ErrSendFailed
 	}
+}
+
+// refuse drops a message the send filter failed with status: on the send
+// path every status but StatusOK is a send error.
+func (c *Conn) refuse(m *message.Msg, env *filter.Env, status int) error {
+	m.Free()
+	c.putEnv(env)
+	c.stats.SendErrors++
+	return fmt.Errorf("%w (status %d)", ErrSendFailed, status)
 }
 
 // queuePostSend schedules the send post-processing (§3.1): it runs in the

@@ -45,15 +45,11 @@ func ExampleDefaultStack() {
 		fmt.Printf("%s filter (max stack %d):\n%s", f.name, prog.MaxStack(), prog.Disassemble())
 	}
 	// Output:
-	// send filter (max stack 2):
+	// send filter (max stack 1):
 	//   0  push.size
 	//   1  pop.field len
 	//   2  digest inet16
 	//   3  pop.field ck
-	//   4  push.size
-	//   5  push.const 8000
-	//   6  gt
-	//   7  abort 1
 	// receive filter (max stack 2):
 	//   0  push.field len
 	//   1  push.size

@@ -172,13 +172,15 @@ func (f *Fanout) Send(payload []byte) error {
 	tc.mu.Lock()
 	stateful := !allZero(tc.send.predict[header.MsgSpec])
 	tc.mu.Unlock()
-	if stateful {
+	if stateful || len(payload) > tc.plan.maxPayload {
 		// A layer predicts message-specific bytes — an encryption
 		// layer's sealed flag. Its filter pass mutates per-connection
 		// crypto state (a nonce burn under the template connection's
 		// key), and the sealed bytes would be wrong for every other
-		// member anyway: no shared template can exist. Skip the build
-		// entirely and run the full per-member path.
+		// member anyway: no shared template can exist. Nor can one for
+		// a payload over the declared frame limit, which each member's
+		// layers fragment. Skip the build entirely and run the full
+		// per-member path.
 		err := f.sendPerMember(payload)
 		f.processLeaves()
 		f.telEnd(t0)
@@ -201,9 +203,8 @@ func (f *Fanout) Send(payload []byte) error {
 	f.tenv.Hdr[header.Gossip] = gos
 
 	if status := tc.plan.send.Run(&f.tenv); status != filter.StatusOK {
-		// The filter wants the slow path for this shape (an over-threshold
-		// payload headed for fragmentation): no shared template exists, so
-		// every member takes its own full send.
+		// The filter refused the payload: every member takes its own
+		// send, which reports the refusal as that member's error.
 		tmpl.Free()
 		err := f.sendPerMember(payload)
 		f.processLeaves()

@@ -29,8 +29,9 @@ type plan struct {
 	usesTime   bool
 	// maxPayload bounds one frame's payload: the limit a layer declared
 	// at Init (stack.InitContext.MaxPayload — the fragmentation
-	// threshold), else layers.DefaultFragThreshold. A packed message
-	// must stay under it, or the fragmenter would split it and
+	// threshold), else layers.DefaultFragThreshold. A longer message
+	// goes to the layers before any filter runs (sendMsg). A packed
+	// message must stay under it, or the fragmenter would split it and
 	// reassembly would lose the packing structure (§3.4).
 	maxPayload int
 	// identIdx is the identification layer's stack index; delivery

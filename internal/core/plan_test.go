@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,12 +13,12 @@ import (
 	"paccel/internal/vclock"
 )
 
-// smallFragThreshold is shape B's fragmentation threshold: a constant in
-// its send filter program that the default shape's program does not have.
+// smallFragThreshold is shape B's fragmentation threshold: a frame limit
+// the default shape does not declare.
 const smallFragThreshold = 64
 
 // twoShapeBuild returns the default stack for even epochs and, for odd
-// ones, a stack that differs from it in a filter constant (the Frag
+// ones, a stack that differs from it in the declared frame limit (the Frag
 // threshold) and in a layer (stamp: one more field, two more send-filter
 // instructions). Both peers of a connection see the same epoch.
 func twoShapeBuild(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
@@ -82,16 +80,16 @@ func TestPlanFollowsTheShape(t *testing.T) {
 	var prev *Conn
 	for epoch := uint32(2); epoch < 8; epoch++ { // A B A B A B
 		a, b := dialPair(epoch)
-		wantSize, wantConst, shapeB := sizeA, layers.DefaultFragThreshold, epoch%2 == 1
+		wantSize, wantLimit, shapeB := sizeA, layers.DefaultFragThreshold, epoch%2 == 1
 		if shapeB {
-			wantSize, wantConst = sizeB, smallFragThreshold
+			wantSize, wantLimit = sizeB, smallFragThreshold
 		}
 		for _, c := range []*Conn{a, b} {
 			if got := c.Schema().TotalSize(); got != wantSize {
 				t.Fatalf("epoch %d: headers are %d bytes, want %d", epoch, got, wantSize)
 			}
-			if asm := c.plan.send.Disassemble(); !strings.Contains(asm, fmt.Sprintf("push.const %d\n", wantConst)) {
-				t.Fatalf("epoch %d: send program lacks the shape's frag threshold %d:\n%s", epoch, wantConst, asm)
+			if c.plan.maxPayload != wantLimit {
+				t.Fatalf("epoch %d: frame limit %d, want the shape's frag threshold %d", epoch, c.plan.maxPayload, wantLimit)
 			}
 			if c.plan.usesTime != shapeB {
 				t.Fatalf("epoch %d: usesTime = %t", epoch, c.plan.usesTime)

@@ -43,16 +43,20 @@ func newEnv(s *header.Schema, payload []byte) *Env {
 	return env
 }
 
-// sendProgram builds the canonical send filter: store payload size and
-// Internet checksum into the message-specific header, reject payloads over
-// mtu with StatusSlow.
+// statusTooLarge is a non-zero status a program may return to tag the
+// reason a message fails: here, a payload over the test's size limit.
+const statusTooLarge = 1
+
+// sendProgram builds a send filter: reject payloads over mtu with
+// statusTooLarge, store payload size and Internet checksum into the
+// message-specific header.
 func sendProgram(t testing.TB, length, cksum header.Handle, mtu int64) *Program {
 	t.Helper()
 	b := NewBuilder()
 	b.PushSize()
 	b.PushConst(mtu)
 	b.Arith(Gt)
-	b.Abort(StatusSlow) // too large: fall back to the stack (frag layer)
+	b.Abort(statusTooLarge)
 	b.PushSize()
 	b.PopField(length)
 	b.Digest(DigestInternet)
@@ -109,8 +113,8 @@ func TestSendFilterRejectsOversize(t *testing.T) {
 	s, length, cksum, _ := testSchema(t)
 	send := sendProgram(t, length, cksum, 4)
 	env := newEnv(s, []byte("too large"))
-	if got := send.Run(env); got != StatusSlow {
-		t.Fatalf("send filter = %d, want slow-path", got)
+	if got := send.Run(env); got != statusTooLarge {
+		t.Fatalf("send filter = %d, want %d", got, statusTooLarge)
 	}
 }
 
@@ -165,7 +169,7 @@ func TestStackOps(t *testing.T) {
 	b.Arith(Sub)
 	b.Arith(Not)
 	b.Abort(42)
-	b.Return(StatusSlow)
+	b.Return(statusTooLarge)
 	p := b.MustBuild()
 	if got := p.Run(&Env{}); got != 42 {
 		t.Fatalf("got %d, want 42", got)
@@ -261,7 +265,7 @@ func TestVerifier(t *testing.T) {
 		}
 		constIdx = b.PushConst(o.limit)
 		b.Arith(Gt)
-		b.Abort(StatusSlow)
+		b.Abort(statusTooLarge)
 		b.PushField(sum)
 		b.Digest(o.dig)
 		b.Arith(Ne)
@@ -288,7 +292,7 @@ func TestVerifier(t *testing.T) {
 		{"op", func(o *operands) { o.cmp = Eq }, false},
 		{"digest id", func(o *operands) { o.dig = alt }, false},
 		{"PushConst argument", func(o *operands) { o.limit = 1025 }, false},
-		{"Abort argument", func(o *operands) { o.status = StatusSlow }, false},
+		{"Abort argument", func(o *operands) { o.status = statusTooLarge }, false},
 		{"field handle", func(o *operands) { o.field = sum }, false},
 		{"short stream", func(o *operands) { o.short = true }, false},
 		{"long stream", func(o *operands) { o.extra = true }, false},

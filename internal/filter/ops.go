@@ -9,15 +9,13 @@
 // verifies them. Programs have no loops or calls, so they can be validated
 // in advance and their exact stack need computed (§3.3).
 //
-// A program finishes with an integer status:
-//
-//	StatusOK   (0) — fast path may proceed
-//	StatusDrop     — discard the message (e.g. checksum mismatch)
-//	anything else  — fall back to the layered slow path (e.g. a message
-//	                 too large to send unfragmented)
-//
-// This reconciles the paper's Figure 3 (boolean use) with §3.3's
-// "non-zero value → execute the pre-processing phase".
+// A program finishes with an integer status: StatusOK (0) lets the
+// message proceed; any other status fails it — a send error on the send
+// path, a drop on the delivery path (e.g. a checksum mismatch). §3.3's
+// "non-zero value → execute the pre-processing phase" is not a filter's
+// job here: the engine routes a message over the stack's declared frame
+// limit to the layers before any filter runs, and runs the filter once
+// on every frame of either path.
 package filter
 
 import "fmt"
@@ -150,17 +148,12 @@ func (o Op) binary() bool {
 	return false
 }
 
-// Result statuses. Any status other than StatusOK and StatusDrop requests
-// the layered slow path; layers may use distinct non-zero values to tag
-// the reason.
+// Result statuses. Any status other than StatusOK fails the message;
+// layers may use distinct non-zero values to tag the reason.
 const (
-	// StatusOK allows the fast path to proceed.
+	// StatusOK lets the message proceed.
 	StatusOK = 0
-	// StatusSlow is the conventional "fall back to the protocol stack"
-	// status.
-	StatusSlow = 1
-	// StatusDrop discards the message (delivery path only; on the send
-	// path it is treated as a send error).
+	// StatusDrop discards the message (on the send path, a send error).
 	StatusDrop = -1
 	// StatusFault is returned by the VM itself on a runtime fault
 	// (division by zero). Treated like StatusDrop by the delivery path.

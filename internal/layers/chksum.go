@@ -14,10 +14,10 @@ import (
 
 // Chksum protects messages with a 16-bit length and a configurable digest
 // (default: the RFC 1071 Internet checksum). Both fields are
-// message-specific (§2.1), so on the fast path they are filled in by the
-// send packet filter and verified by the delivery packet filter (§3.3) —
-// the layer's own pre phases do identical work for the slow path, making
-// the two paths byte-identical on the wire.
+// message-specific (§2.1): the send packet filter fills them in and the
+// delivery packet filter verifies them (§3.3). Every engine runs those
+// programs on every frame, fast path or slow, so they are the layer's
+// only code for its fields and its phases have nothing to do.
 type Chksum struct {
 	// Digest selects the digest function; zero value means the Internet
 	// checksum.
@@ -64,38 +64,15 @@ func (c *Chksum) Init(ic *stack.InitContext) error {
 // predicted (§3.2), so there is nothing to prime.
 func (c *Chksum) Prime(*stack.Context) {}
 
-// PreSend fills the fields on the slow path, mirroring the send filter.
-func (c *Chksum) PreSend(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	hdr := ctx.Env.Hdr[header.MsgSpec]
-	c.length.Write(hdr, ctx.Env.Order, uint64(len(ctx.Env.Payload)))
-	fn := c.digestFunc()
-	c.sum.Write(hdr, ctx.Env.Order, fn(ctx.Env.Payload))
-	return stack.Continue
-}
+// PreSend implements stack.Layer; the send filter fills both fields.
+func (c *Chksum) PreSend(*stack.Context, *message.Msg) stack.Verdict { return stack.Continue }
 
 // PostSend implements stack.Layer; the layer is stateless.
 func (c *Chksum) PostSend(*stack.Context, *message.Msg) {}
 
-// PreDeliver verifies the fields on the slow path (and is the only check
-// in engines without packet filters, such as the baseline).
-func (c *Chksum) PreDeliver(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	hdr := ctx.Env.Hdr[header.MsgSpec]
-	if c.length.Read(hdr, ctx.Env.Order) != uint64(len(ctx.Env.Payload)) {
-		return stack.Drop
-	}
-	fn := c.digestFunc()
-	if c.sum.Read(hdr, ctx.Env.Order) != fn(ctx.Env.Payload) {
-		return stack.Drop
-	}
-	return stack.Continue
-}
+// PreDeliver implements stack.Layer; the delivery filter has already
+// dropped any frame whose fields do not match its payload.
+func (c *Chksum) PreDeliver(*stack.Context, *message.Msg) stack.Verdict { return stack.Continue }
 
 // PostDeliver implements stack.Layer; the layer is stateless.
 func (c *Chksum) PostDeliver(*stack.Context, *message.Msg) {}
-
-func (c *Chksum) digestFunc() filter.DigestFunc {
-	if fn, ok := filter.DigestByID(c.Digest); ok {
-		return fn
-	}
-	return filter.InternetChecksum
-}

@@ -5,7 +5,6 @@ import (
 
 	"paccel/internal/filter"
 	"paccel/internal/header"
-	"paccel/internal/stack"
 )
 
 func TestChksumPreSendFillsFields(t *testing.T) {
@@ -21,22 +20,25 @@ func TestChksumPreSendFillsFields(t *testing.T) {
 	}
 }
 
+// The delivery filter is the only check of the fields: it accepts a
+// frame the send path built and drops a corrupted one.
 func TestChksumDeliveryVerdicts(t *testing.T) {
 	h := newHarness(t, NewChksum())
 	m, env := h.send([]byte("payload"))
 	defer m.Free()
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Continue {
-		t.Fatalf("valid message verdict = %v", v)
+	if st := h.recvF.Run(env); st != filter.StatusOK {
+		t.Fatalf("valid message: recv filter = %d", st)
 	}
 	env.Payload[0] ^= 0xFF
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Drop {
-		t.Fatalf("corrupt message verdict = %v", v)
+	if st := h.recvF.Run(env); st != filter.StatusDrop {
+		t.Fatalf("corrupt message: recv filter = %d, want drop", st)
 	}
 }
 
 func TestChksumFilterMatchesPhases(t *testing.T) {
-	// The fast path (filters) and slow path (PreSend) must produce
-	// identical header bytes.
+	// The slow path (pre-phases, then the send filter) and the fast
+	// path (the filter alone) must produce identical header bytes: the
+	// pre-phases add nothing to the message-specific fields.
 	h := newHarness(t, NewChksum())
 	payload := []byte("identical wire bytes")
 
@@ -69,8 +71,8 @@ func TestChksumLengthMismatchDrops(t *testing.T) {
 	defer m.Free()
 	c := h.st.Layers()[0].(*Chksum)
 	c.length.Write(env.Hdr[header.MsgSpec], env.Order, 5)
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Drop {
-		t.Fatalf("verdict = %v", v)
+	if st := h.recvF.Run(env); st != filter.StatusDrop {
+		t.Fatalf("recv filter = %d, want drop", st)
 	}
 }
 
@@ -83,8 +85,8 @@ func TestChksumCustomDigest(t *testing.T) {
 	if got := c.sum.Read(env.Hdr[header.MsgSpec], env.Order); got != 0xFF {
 		t.Fatalf("xor digest = %#x", got)
 	}
-	if v, _ := h.st.PreDeliver(h.ctx(env), m); v != stack.Continue {
-		t.Fatal("custom digest verification failed")
+	if st := h.recvF.Run(env); st != filter.StatusOK {
+		t.Fatalf("custom digest verification failed: recv filter = %d", st)
 	}
 }
 

@@ -11,12 +11,14 @@ import (
 // frame, comfortably under the ATM/netsim MTU once headers are added.
 const DefaultFragThreshold = 8000
 
-// Frag implements fragmentation/reassembly exactly as the paper's §6
-// prescribes for the PA: the layer adds code to the send packet filter to
-// reject messages over the threshold (forcing them onto the slow path,
-// where PreSend splits them), and marks fragments with a protocol-specific
-// bit so the receiving PA never treats a fragment as predicted — fragments
-// always reach the stack for reassembly.
+// Frag implements fragmentation/reassembly as the paper's §6 prescribes
+// for the PA, with one change: where §6 adds code to the send packet
+// filter to reject messages over the threshold, the layer declares the
+// threshold as the stack's frame limit (stack.InitContext.MaxPayload) and
+// the engine sends longer messages down the slow path, where PreSend
+// splits them, before any filter runs. Fragments carry a
+// protocol-specific bit so the receiving PA never treats a fragment as
+// predicted — fragments always reach the stack for reassembly.
 //
 // Fragments are emitted as layer-generated messages, so the layers below
 // (the sliding window) sequence and retransmit each fragment individually;
@@ -47,8 +49,8 @@ func (f *Frag) threshold() int {
 	return f.Threshold
 }
 
-// Init registers the two fragment bits and the send-filter size check,
-// and declares the threshold as the stack's frame limit.
+// Init registers the two fragment bits and declares the threshold as the
+// stack's frame limit.
 func (f *Frag) Init(ic *stack.InitContext) error {
 	var err error
 	if f.isFrag, err = ic.Schema.AddField(header.ProtoSpec, f.Name(), "isfrag", 1, header.DontCare); err != nil {
@@ -57,14 +59,7 @@ func (f *Frag) Init(ic *stack.InitContext) error {
 	if f.last, err = ic.Schema.AddField(header.ProtoSpec, f.Name(), "last", 1, header.DontCare); err != nil {
 		return err
 	}
-	// "The fragmentation/reassembly layer adds code to the send packet
-	// filter to reject messages over a certain size" (§6).
-	thr := f.threshold()
-	ic.SendFilter.PushSize()
-	ic.SendFilter.PushConst(int64(thr))
-	ic.SendFilter.Arith(filter.Gt)
-	ic.SendFilter.Abort(filter.StatusSlow)
-	if ic.MaxPayload == 0 || thr < ic.MaxPayload {
+	if thr := f.threshold(); ic.MaxPayload == 0 || thr < ic.MaxPayload {
 		ic.MaxPayload = thr
 	}
 	return nil

@@ -22,18 +22,22 @@ func TestFragSmallMessagePassesThrough(t *testing.T) {
 	}
 }
 
+// Frag rejects an oversized message by declaring its threshold as the
+// stack's frame limit, which the engine routes on before any filter runs;
+// it emits no filter code. A lower limit declared first stays.
 func TestFragSendFilterRejectsOversize(t *testing.T) {
-	f := &Frag{Threshold: 10}
-	h := newHarness(t, f)
-	m, env := h.env(bytes.Repeat([]byte("x"), 11))
-	defer m.Free()
-	if st := h.sendF.Run(env); st != filter.StatusSlow {
-		t.Fatalf("send filter = %d, want slow-path", st)
-	}
-	m2, env2 := h.env(bytes.Repeat([]byte("x"), 10))
-	defer m2.Free()
-	if st := h.sendF.Run(env2); st != filter.StatusOK {
-		t.Fatalf("send filter on fitting message = %d", st)
+	for _, tc := range []struct{ declared, want int }{{0, 10}, {20, 10}, {5, 5}} {
+		sb, rb := filter.NewBuilder(), filter.NewBuilder()
+		ic := &stack.InitContext{Schema: header.New(), SendFilter: sb, RecvFilter: rb, MaxPayload: tc.declared}
+		if err := (&Frag{Threshold: 10}).Init(ic); err != nil {
+			t.Fatal(err)
+		}
+		if ic.MaxPayload != tc.want {
+			t.Fatalf("declared %d: frame limit %d, want %d", tc.declared, ic.MaxPayload, tc.want)
+		}
+		if sb.Len() != 0 || rb.Len() != 0 {
+			t.Fatalf("frag emitted filter code: %d send, %d recv instructions", sb.Len(), rb.Len())
+		}
 	}
 }
 

@@ -91,14 +91,18 @@ func (h *harness) receive(env *filter.Env, m *message.Msg) stack.Verdict {
 	return v
 }
 
-// send runs PreSend+PostSend through the whole stack for payload and
-// returns the message and its env.
+// send runs PreSend, the send filter and PostSend through the whole stack
+// for payload, as the engine's slow path does, and returns the message
+// and its env.
 func (h *harness) send(payload []byte) (*message.Msg, *filter.Env) {
 	m, env := h.env(payload)
 	ctx := h.ctx(env)
 	v, _ := h.st.PreSend(ctx, m)
 	if v != stack.Continue {
 		h.t.Fatalf("PreSend verdict = %v", v)
+	}
+	if st := h.sendF.Run(env); st != filter.StatusOK {
+		h.t.Fatalf("send filter = %d", st)
 	}
 	h.st.PostSend(ctx, m)
 	return m, env

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"paccel/internal/bits"
+	"paccel/internal/filter"
 	"paccel/internal/header"
 	"paccel/internal/stack"
 )
@@ -180,6 +181,9 @@ func TestStampSendAndSample(t *testing.T) {
 	ctx := h.ctx(env)
 	if v, _ := h.st.PreSend(ctx, m); v != stack.Continue {
 		t.Fatal("presend failed")
+	}
+	if st := h.sendF.Run(env); st != filter.StatusOK {
+		t.Fatalf("send filter = %d", st)
 	}
 	if got := st.ts.Read(env.Hdr[header.MsgSpec], env.Order); got != 1000 {
 		t.Fatalf("ts field = %d", got)

@@ -1,9 +1,11 @@
 package layers
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"paccel/internal/filter"
 	"paccel/internal/header"
 	"paccel/internal/stack"
 )
@@ -14,9 +16,22 @@ import (
 // state (fmt %+v reaches scalar fields, map contents and slice contents)
 // around its pre phases and demand bit-for-bit equality whatever the
 // verdict: a layer acts on a message it consumes or drops in its own
-// PostDeliver, never in a pre phase.
+// PostDeliver, never in a pre phase. Nor does a pre phase touch the
+// message-specific header region: the packet filters are the only code
+// for those fields (§3.3), so the region must come out of a pre phase
+// byte for byte as it went in.
 
 func snapshot(l stack.Layer) string { return fmt.Sprintf("%+v", l) }
+
+// msgSpecSentinel fills env's message-specific region with a sentinel and
+// returns a copy to compare against after a pre phase.
+func msgSpecSentinel(env *filter.Env) []byte {
+	hdr := env.Hdr[header.MsgSpec]
+	for i := range hdr {
+		hdr[i] = 0xA5
+	}
+	return bytes.Clone(hdr)
+}
 
 // pureLayers builds one instance of every layer type, plus a message
 // generator appropriate for it.
@@ -46,11 +61,15 @@ func TestPreSendPurity(t *testing.T) {
 			h := newHarness(t, tc.layer)
 			m, env := h.env([]byte("purity-probe"))
 			defer m.Free()
+			region := msgSpecSentinel(env)
 			before := snapshot(tc.layer)
 			v := tc.layer.PreSend(h.ctx(env), m)
 			after := snapshot(tc.layer)
 			if before != after {
 				t.Fatalf("PreSend (%v) mutated state:\nbefore %s\nafter  %s", v, before, after)
+			}
+			if got := env.Hdr[header.MsgSpec]; !bytes.Equal(got, region) {
+				t.Fatalf("PreSend (%v) wrote the message-specific region: %x, was %x", v, got, region)
 			}
 		})
 	}
@@ -65,11 +84,15 @@ func TestPreDeliverPurity(t *testing.T) {
 			m, env := h.env([]byte("purity-probe"))
 			defer m.Free()
 			tc.layer.PreSend(h.ctx(env), m)
+			region := msgSpecSentinel(env)
 			before := snapshot(tc.layer)
 			v := tc.layer.PreDeliver(h.ctx(env), m)
 			after := snapshot(tc.layer)
 			if before != after {
 				t.Fatalf("PreDeliver (%v) mutated state:\nbefore %s\nafter  %s", v, before, after)
+			}
+			if got := env.Hdr[header.MsgSpec]; !bytes.Equal(got, region) {
+				t.Fatalf("PreDeliver (%v) wrote the message-specific region: %x, was %x", v, got, region)
 			}
 		})
 	}

@@ -200,11 +200,10 @@ func (s *Secure) Prime(ctx *stack.Context) {
 	s.primed = true
 }
 
-// PreSend implements stack.Layer. It is deliberately a no-op: sealing on
-// the slow path happens through the send packet filter too (SendControl
-// runs the full filter over every layer-generated message, and the only
-// Slow verdict in the canonical stack — frag's oversize guard — consumes
-// the original), so a pre-phase seal would double-encrypt fragments.
+// PreSend implements stack.Layer. It is deliberately a no-op: the engine
+// runs the send packet filter once over every outgoing frame, slow path
+// and layer-generated messages included, and its Seal is the only code
+// that encrypts.
 func (s *Secure) PreSend(*stack.Context, *message.Msg) stack.Verdict { return stack.Continue }
 
 // PostSend mirrors the prediction updates the filter's Seal made: the

@@ -12,8 +12,9 @@ import (
 // Stamp is a latency-measurement micro-layer. It registers a 32-bit
 // message-specific timestamp — the paper's own example of
 // message-specific information (§2.1) — filled in by the send packet
-// filter's PushTime customized instruction, and records one-way latency
-// samples on delivery.
+// filter's PushTime customized instruction on every frame (the filter is
+// the only code that writes it), and records one-way latency samples on
+// delivery.
 //
 // Timestamps are microseconds on the connection's clock, truncated to 32
 // bits; samples are only meaningful when both endpoints share a clock
@@ -62,11 +63,8 @@ func (s *Stamp) Init(ic *stack.InitContext) error {
 // Prime implements stack.Layer; message-specific fields are not predicted.
 func (s *Stamp) Prime(*stack.Context) {}
 
-// PreSend fills the timestamp on the slow path, mirroring the filter.
-func (s *Stamp) PreSend(ctx *stack.Context, m *message.Msg) stack.Verdict {
-	s.ts.Write(ctx.Env.Hdr[header.MsgSpec], ctx.Env.Order, ctx.Env.Time)
-	return stack.Continue
-}
+// PreSend implements stack.Layer; the send filter fills the timestamp.
+func (s *Stamp) PreSend(*stack.Context, *message.Msg) stack.Verdict { return stack.Continue }
 
 // PostSend implements stack.Layer.
 func (s *Stamp) PostSend(*stack.Context, *message.Msg) {}

@@ -57,8 +57,10 @@ func (v Verdict) String() string {
 // The four phase methods implement canonical protocol processing. The Pre*
 // methods change no layer state; PreDeliver has no effects at all (PreSend
 // may emit control messages in place of the message it consumes, as
-// fragmentation does). Every delivery-side state change is in
-// PostDeliver, which runs for every layer the message reached, including
+// fragmentation does). Neither writes a message-specific field: the
+// packet-filter instructions from Init are the only code for those, and
+// every engine runs them once per frame. Every delivery-side state change
+// is in PostDeliver, which runs for every layer the message reached, including
 // the one that returned Consume or Drop: that layer finds its verdict in
 // Context.Verdict, the others find Continue. The Post* methods also
 // rewrite this layer's fields in the predicted headers.
@@ -94,7 +96,8 @@ type InitContext struct {
 	// MaxPayload is the largest payload one frame may carry; 0 until a
 	// layer declares a limit. A layer that bounds frames (fragmentation)
 	// lowers it to its bound, never raises it; the engine packs
-	// backlogged messages under it (§3.4).
+	// backlogged messages under it (§3.4) and sends a longer message
+	// down the layered path, before any filter runs (§6).
 	MaxPayload int
 }
 

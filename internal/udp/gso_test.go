@@ -12,9 +12,13 @@ package udp
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -306,6 +310,55 @@ func TestSendBatchHookSeesComposedChunks(t *testing.T) {
 	}
 	if calls != 1 || hdrsTotal != 4 {
 		t.Fatalf("256×512B burst: %d sendmmsg calls with %d headers, want 1 call / 4 super-datagrams", calls, hdrsTotal)
+	}
+}
+
+// TestReadLoopWakeupAllocFree holds the vectorized receive loop to zero
+// allocations per wake-up: one datagram at a time over loopback, each
+// waited for before the next is sent, so every round is one recvmmsg
+// wake-up. The count is the whole process's heap allocations, the
+// steady-state batch send included (which allocates nothing, see below).
+func TestReadLoopWakeupAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	a, b := pair(t)
+	var got atomic.Int64
+	b.SetHandler(func(string, []byte) { got.Add(1) })
+	ds := burst(1, 64)
+	dst := b.LocalAddr()
+	round := func() {
+		want := got.Load() + 1
+		if _, err := a.SendBatch(dst, ds); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for got.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatal("datagram not delivered")
+			}
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 32; i++ { // warm-up: source string cache, scratch
+		round()
+	}
+	const rounds = 200
+	// No collection during the count: one would empty the send path's
+	// scratch pool, and its refill is not the receive loop's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	wakeups := b.Stats().BatchRecvs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if n := b.Stats().BatchRecvs - wakeups; n < rounds {
+		t.Fatalf("%d receive wake-ups for %d rounds", n, rounds)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations over %d receive wake-ups, want 0", n, rounds)
 	}
 }
 

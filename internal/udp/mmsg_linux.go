@@ -406,6 +406,27 @@ func closedRecvErrno(e syscall.Errno) bool {
 	return false
 }
 
+// recvCall is readLoop's recvmmsg callback and its results. The loop
+// builds it, and the method value it hands to RawConn.Read, once: a
+// closure built per wake-up captures its results by reference and moves
+// them to the heap, two allocations on every wake-up.
+type recvCall struct {
+	t     *Transport
+	hdrs  *[mmsgBatch]mmsghdr
+	n     int
+	errno syscall.Errno
+}
+
+func (r *recvCall) read(fd uintptr) bool {
+	r.t.stats.rxSyscalls.Add(1)
+	n, e := recvmmsgCall(fd, &r.hdrs[0], mmsgBatch, syscall.MSG_DONTWAIT)
+	if e == syscall.EAGAIN || e == syscall.EINTR {
+		return false // wait for readability
+	}
+	r.n, r.errno = n, e
+	return true
+}
+
 // readLoop is the vectorized receive loop: one recvmmsg call drains up
 // to mmsgBatch queued datagrams into the ring, then the handler runs
 // once per datagram in arrival order, with UDP_GRO-coalesced payloads
@@ -448,6 +469,8 @@ func (t *Transport) readLoop() {
 
 	var lastRaw syscall.RawSockaddrAny
 	var lastSrc string
+	call := &recvCall{t: t, hdrs: &hdrs}
+	read := call.read // one method value for the loop's lifetime
 	for {
 		for i := range hdrs {
 			hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
@@ -456,20 +479,10 @@ func (t *Transport) readLoop() {
 				hdrs[i].hdr.Controllen = groOOB
 			}
 		}
-		var n int
-		var errno syscall.Errno
-		rerr := rc.Read(func(fd uintptr) bool {
-			t.stats.rxSyscalls.Add(1)
-			r1, e := recvmmsgCall(fd, &hdrs[0], mmsgBatch, syscall.MSG_DONTWAIT)
-			if e == syscall.EAGAIN || e == syscall.EINTR {
-				return false // wait for readability
-			}
-			n, errno = r1, e
-			return true
-		})
-		if rerr != nil {
+		if rerr := rc.Read(read); rerr != nil {
 			return // closed (poller torn down)
 		}
+		n, errno := call.n, call.errno
 		if errno != 0 {
 			if closedRecvErrno(errno) {
 				return

@@ -493,9 +493,6 @@ func BuildStack(opts StackOptions) StackBuilder {
 		}
 		ls = append(ls, frag)
 		if opts.Secure != nil {
-			// Below frag: the send filter's oversize guard must abort
-			// before Seal burns a nonce on a message headed for
-			// fragmentation (each fragment is then sealed individually).
 			// Above the window: Resume rekeys before the window replays
 			// its unacked frames, so replays re-seal under the new epoch.
 			sec := layers.NewSecure(opts.Secure.Key,
