@@ -148,6 +148,32 @@ func ExampleNewRPCClient() {
 	// Output: echo 42
 }
 
+// ExampleUseSecure runs the secure channel: StackOptions.Secure replaces
+// the checksum layer with AES-GCM keyed from a pre-shared master key, and
+// ConnSecureStats reads the layer's counters once the connection is
+// quiescent (here, closed).
+func ExampleUseSecure() {
+	key := []byte("pre-shared master key") // both sides must agree
+	build := paccel.BuildStack(paccel.StackOptions{Secure: paccel.UseSecure(key)})
+
+	net := paccel.NewSimNetwork(paccel.SimConfig{})
+	alice, _ := paccel.NewEndpoint(paccel.Config{Transport: net.Endpoint("A"), Build: build})
+	bob, _ := paccel.NewEndpoint(paccel.Config{Transport: net.Endpoint("B"), Build: build})
+	a, _ := alice.Dial(paccel.PeerSpec{Addr: "B", LocalID: []byte("alice"), RemoteID: []byte("bob"), LocalPort: 1, RemotePort: 2})
+	b, _ := bob.Dial(paccel.PeerSpec{Addr: "A", LocalID: []byte("bob"), RemoteID: []byte("alice"), LocalPort: 2, RemotePort: 1})
+
+	b.OnDeliver(func(p []byte) { fmt.Printf("bob got %q\n", p) })
+	a.Send([]byte("sealed on the wire"))
+	alice.Close()
+	bob.Close()
+
+	stats, ok := paccel.ConnSecureStats(b)
+	fmt.Printf("secure layer: %v, auth failures: %d\n", ok, stats.AuthFails)
+	// Output:
+	// bob got "sealed on the wire"
+	// secure layer: true, auth failures: 0
+}
+
 // ExampleNewGroupMesh demonstrates totally-ordered multicast.
 func ExampleNewGroupMesh() {
 	mesh, _ := paccel.NewGroupMesh([]string{"a", "b"}, paccel.SimConfig{}, paccel.GroupTotal, "a")

@@ -295,24 +295,10 @@ func TestBaselineWireBiggerThanPA(t *testing.T) {
 func TestBaselineSixLayerStack(t *testing.T) {
 	// The baseline engine must run the extended stack too (stamp +
 	// heartbeat), exercising control sends whose originator sits below
-	// other layers (chksum fields get filled by the pre phases, not
-	// filters — the baseline has none).
-	build := func(spec core.PeerSpec, order bitsOrder) ([]stackLayer, error) {
-		hb := layers.NewHeartbeat()
-		hb.Interval = 5 * time.Millisecond
-		return []stackLayer{
-			layers.NewStamp(),
-			layers.NewChksum(),
-			layers.NewFrag(),
-			layers.NewWindow(),
-			hb,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
+	// other layers.
+	build := core.BuildStack(core.StackOptions{
+		Stamp: func(time.Duration) {}, Heartbeat: 5 * time.Millisecond,
+	})
 	clk := vclock.NewManual(t0)
 	net := netsim.New(clk, netsim.Config{})
 	epA, err := NewEndpoint(Config{Transport: net.Endpoint("A"), Clock: clk, Build: build})
@@ -352,10 +338,6 @@ func TestBaselineSixLayerStack(t *testing.T) {
 		t.Fatal("baseline keepalives not heard")
 	}
 }
-
-// type aliases keeping the test above readable.
-type bitsOrder = bits.ByteOrder
-type stackLayer = stack.Layer
 
 // The baseline runs the layers' compiled delivery filter on every frame,
 // so a corrupted fragment is dropped and retransmitted like any other

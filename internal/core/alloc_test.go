@@ -4,28 +4,18 @@ import (
 	"sync"
 	"testing"
 
-	"paccel/internal/bits"
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/telemetry"
 	"paccel/internal/vclock"
 )
 
 // leanBuild is the checksum + fragmentation + identification stack: no
 // window layer, so a one-way stream stays on the fast path with no acks
-// flowing back (allocDefaultStack holds the default stack to the budget).
-func leanBuild(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+// flowing back (allocDefaultStack holds the default stack to the budget),
+// and a datagram the transport rejects stays missing instead of being
+// retransmitted.
+var leanBuild = BuildStack(StackOptions{NoWindow: true})
 
 // noBatch strips the SendBatch method from a transport so the engine's
 // transmit flush falls back to one Send per datagram.
@@ -214,6 +204,7 @@ func allocDial(t *testing.T, rec *telemetry.Recorder) {
 	if dialErr != nil {
 		t.Fatal(dialErr)
 	}
+	t.Logf("dial+close: %.0f allocs", allocs)
 	if allocs > 25 {
 		t.Fatalf("dial+close: %.0f allocs, want <= 25", allocs)
 	}
@@ -401,17 +392,9 @@ func allocFanout(t *testing.T, rec *telemetry.Recorder) {
 // (the tag subsumes it): fragmentation + encryption + identification, no
 // window, so the nonce counter advances one per frame with no gaps and
 // the whole encrypted path stays on prediction.
-func secureLeanBuild(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewFrag(),
-		layers.NewSecure([]byte("alloc budget key"), spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var secureLeanBuild = BuildStack(StackOptions{
+	NoWindow: true, Secure: &SecureConfig{Key: []byte("alloc budget key")},
+})
 
 // allocSecureSend asserts the encrypted steady-state send — seal in the
 // send filter, batch flush, far-side open and delivery — is

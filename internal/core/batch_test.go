@@ -8,11 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"paccel/internal/bits"
 	"paccel/internal/faultinject"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/udp"
 	"paccel/internal/vclock"
 )
@@ -69,21 +66,6 @@ func TestFlushTxBatchesBurst(t *testing.T) {
 	}
 }
 
-// unorderedStack is the default stack minus the window layer: no acks, no
-// ordering, no retransmission. Batch-error tests use it so a datagram the
-// transport rejects stays missing instead of being retransmitted.
-func unorderedStack(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
-
 // flakyBatchTransport wraps a transport with a SendBatch that fails its
 // first batch at a chosen index, transmitting only the datagrams before
 // it — the shape of a mid-batch sendmmsg failure.
@@ -120,13 +102,13 @@ func TestBatchSendErrorSkipsFailedDatagram(t *testing.T) {
 	clk := vclock.NewManual(t0)
 	net := netsim.New(clk, netsim.Config{})
 	ft := &flakyBatchTransport{Transport: net.Endpoint("A"), failAt: failAt}
-	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack})
+	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: leanBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
 	epA.maxPack = 1
 	defer epA.Close()
-	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: unorderedStack})
+	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: leanBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +183,7 @@ func (e *errTransport) Close() error                                 { return ni
 // on a transport without SendBatch land in EndpointStats.TxErrors.
 func TestUnbatchedSendErrorsCounted(t *testing.T) {
 	tr := &errTransport{}
-	ep, err := NewEndpoint(Config{Transport: tr, Clock: vclock.NewManual(t0), Build: unorderedStack})
+	ep, err := NewEndpoint(Config{Transport: tr, Clock: vclock.NewManual(t0), Build: leanBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +218,13 @@ func TestBatchFaultDropEndToEnd(t *testing.T) {
 	net := netsim.New(clk, netsim.Config{})
 	ft := faultinject.New(net.Endpoint("A"), clk, 0,
 		faultinject.Rule{Kind: faultinject.Drop, Direction: faultinject.Send, Nth: dropNth})
-	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: unorderedStack})
+	epA, err := NewEndpoint(Config{Transport: ft, Clock: clk, Build: leanBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
 	epA.maxPack = 1
 	defer epA.Close()
-	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: unorderedStack})
+	epB, err := NewEndpoint(Config{Transport: net.Endpoint("B"), Clock: clk, Build: leanBuild})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"paccel/internal/bits"
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
 
@@ -266,20 +265,7 @@ func TestWindowBackpressureAndPacking(t *testing.T) {
 }
 
 // fragBuild is the default stack with a 100-byte fragmentation threshold.
-func fragBuild(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	f := layers.NewFrag()
-	f.Threshold = 100
-	return []stack.Layer{
-		layers.NewChksum(),
-		f,
-		layers.NewWindow(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var fragBuild = BuildStack(StackOptions{FragThreshold: 100})
 
 func TestFragmentation(t *testing.T) {
 	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
@@ -1120,27 +1106,17 @@ func TestPackedBatchesRespectFragThreshold(t *testing.T) {
 	// bytes, 2 under a 2048-byte threshold.
 	for _, tc := range []struct {
 		name      string
-		threshold int // 0: DefaultStack
+		threshold int // 0: the default
 		maxBatch  int
 	}{
 		{"default", 0, 7},
 		{"threshold-2048", 2048, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var mod func(cfgA, cfgB *Config)
-			if tc.threshold > 0 {
-				mod = func(cfgA, cfgB *Config) {
-					build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-						ls, err := DefaultStack(spec, order)
-						if err == nil {
-							ls[1] = &layers.Frag{Threshold: tc.threshold}
-						}
-						return ls, err
-					}
-					cfgA.Build, cfgB.Build = build, build
-				}
-			}
-			r := newRig(t, netsim.Config{Latency: 500 * time.Microsecond, MTU: 64 << 10}, mod)
+			r := newRig(t, netsim.Config{Latency: 500 * time.Microsecond, MTU: 64 << 10}, func(cfgA, cfgB *Config) {
+				build := BuildStack(StackOptions{FragThreshold: tc.threshold})
+				cfgA.Build, cfgB.Build = build, build
+			})
 			const n = 120
 			payload := bytes.Repeat([]byte{0x5A}, 1024)
 			for i := 0; i < n; i++ {

@@ -9,7 +9,6 @@ import (
 
 	"paccel/internal/bits"
 	"paccel/internal/header"
-	"paccel/internal/layers"
 	"paccel/internal/message"
 	"paccel/internal/netsim"
 	"paccel/internal/stack"
@@ -461,16 +460,11 @@ func TestFanoutFallbackOnPredictedMsgSpec(t *testing.T) {
 	clk := vclock.NewManual(t0)
 	net := netsim.New(clk, netsim.Config{})
 	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		return []stack.Layer{
-			layers.NewChksum(),
-			&msgSpecPredictor{},
-			layers.NewFrag(),
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
+		ls, err := leanBuild(spec, order)
+		if err != nil {
+			return nil, err
+		}
+		return append([]stack.Layer{&msgSpecPredictor{}}, ls...), nil
 	}
 	hub, err := NewEndpoint(Config{Transport: net.Endpoint("hub"), Clock: clk, Build: build})
 	if err != nil {

@@ -274,30 +274,16 @@ func TestOverUDP(t *testing.T) {
 
 // TestHeartbeatAndStampInStack runs a six-layer stack (stamp + heartbeat
 // added) through the engine under the manual clock: keepalives flow while
-// idle, the silence callback fires on partition, and the latency meter
-// samples deliveries.
+// idle, the silence callback fires on partition naming the silent peer,
+// and the latency meter samples deliveries.
 func TestHeartbeatAndStampInStack(t *testing.T) {
-	var hbA *layers.Heartbeat
-	var stampB *layers.Stamp
-	silence := make(chan time.Duration, 4)
-	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		hb := layers.NewHeartbeat()
-		hb.Interval = 10 * time.Millisecond
-		hb.Misses = 3
-		st := layers.NewStamp()
-		ident := &layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		}
-		if string(spec.LocalID) == "alice" {
-			hbA = hb
-			hb.OnSilence = func(d time.Duration) { silence <- d }
-		} else {
-			stampB = st
-		}
-		return []stack.Layer{st, layers.NewChksum(), layers.NewFrag(), layers.NewWindow(), hb, ident}, nil
-	}
+	silentPeers := make(chan string, 4)
+	var oneWays int
+	build := BuildStack(StackOptions{
+		Stamp:     func(time.Duration) { oneWays++ },
+		Heartbeat: 10 * time.Millisecond,
+		OnSilence: func(peer []byte, _ time.Duration) { silentPeers <- string(peer) },
+	})
 	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
 		cfgA.Build = build
 		cfgB.Build = build
@@ -309,11 +295,13 @@ func TestHeartbeatAndStampInStack(t *testing.T) {
 	if r.fromA.count() != 1 {
 		t.Fatal("delivery failed with 6-layer stack")
 	}
-	if _, n := stampB.Mean(); n != 1 {
-		t.Fatalf("stamp samples = %d", n)
+	if oneWays != 1 {
+		t.Fatalf("stamp samples = %d", oneWays)
 	}
 	// Idle time: keepalives flow, keeping both sides alive.
 	r.settleNet(100 * time.Millisecond)
+	ls := r.a.Layers()
+	hbA := ls[len(ls)-2].(*layers.Heartbeat)
 	if hbA.Beats == 0 {
 		t.Fatal("no keepalives sent")
 	}
@@ -321,15 +309,18 @@ func TestHeartbeatAndStampInStack(t *testing.T) {
 		t.Fatal("no keepalives heard")
 	}
 	select {
-	case d := <-silence:
-		t.Fatalf("false silence: %v", d)
+	case peer := <-silentPeers:
+		t.Fatalf("false silence of %q", peer)
 	default:
 	}
-	// Partition B→A: A stops hearing and reports silence.
+	// Partition B→A: A stops hearing and reports bob silent.
 	r.net.SetLinkDown("B", "A", true)
 	r.settleNet(200 * time.Millisecond)
 	select {
-	case <-silence:
+	case peer := <-silentPeers:
+		if peer != "bob" {
+			t.Fatalf("silence reported for %q, want the remote ID %q", peer, "bob")
+		}
 	default:
 		t.Fatal("silence not detected after partition")
 	}
@@ -342,23 +333,12 @@ func TestHeartbeatAndStampInStack(t *testing.T) {
 // which streams at one message per 5 ms on the fast path.
 func TestHeartbeatHearsFastPathData(t *testing.T) {
 	var silences []time.Duration
-	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		hb := layers.NewHeartbeat()
-		hb.Interval = 10 * time.Second
-		if string(spec.LocalID) == "bob" {
-			hb.Interval = 10 * time.Millisecond
-			hb.OnSilence = func(d time.Duration) { silences = append(silences, d) }
-		}
-		return []stack.Layer{layers.NewChksum(), layers.NewFrag(), layers.NewWindow(), hb,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			}}, nil
-	}
 	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
-		cfgA.Build = build
-		cfgB.Build = build
+		cfgA.Build = BuildStack(StackOptions{Heartbeat: 10 * time.Second})
+		cfgB.Build = BuildStack(StackOptions{
+			Heartbeat: 10 * time.Millisecond,
+			OnSilence: func(_ []byte, d time.Duration) { silences = append(silences, d) },
+		})
 	})
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -483,18 +463,7 @@ func TestQuickExactlyOnceUnderAdversity(t *testing.T) {
 // the window buffers early frames and releases them in order, so every
 // message arrives exactly once and in sequence.
 func TestReorderDeliversOnceInOrder(t *testing.T) {
-	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		w := layers.NewWindow()
-		w.Naks = true
-		return []stack.Layer{
-			layers.NewChksum(), layers.NewFrag(), w,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
+	build := BuildStack(StackOptions{Naks: true})
 	r := newRig(t, netsim.Config{
 		Latency: 200 * time.Microsecond, ReorderRate: 0.4, Seed: 31,
 	}, func(cfgA, cfgB *Config) {

@@ -157,22 +157,6 @@ type Identifier interface {
 	ParseIncoming(hdr []byte, order bits.ByteOrder) layers.IdentInfo
 }
 
-// DefaultStack is the paper's measured four-layer configuration: checksum
-// integrity, fragmentation, a 16-entry sliding window, and connection
-// identification.
-func DefaultStack(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		layers.NewWindow(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
-
 // Config configures an Endpoint. Transport is required; everything else
 // has working defaults.
 type Config struct {

@@ -9,30 +9,15 @@ import (
 	"testing"
 	"time"
 
-	"paccel/internal/bits"
 	"paccel/internal/faultinject"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 )
 
 // heartbeatStack is DefaultStack plus a keepalive layer. Dead-peer
 // detection plus recovery needs a liveness source, or an idle healed
 // connection would (correctly) trip ErrPeerSilent again and flap
 // between Active and Recovering.
-func heartbeatStack(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		layers.NewWindow(),
-		&layers.Heartbeat{Interval: 30 * time.Millisecond},
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var heartbeatStack = BuildStack(StackOptions{Heartbeat: 30 * time.Millisecond})
 
 // testRecovery is the recovery configuration the tests share: fast,
 // deterministic backoff on the manual clock.

@@ -7,33 +7,20 @@ import (
 	"testing"
 	"time"
 
-	"paccel/internal/bits"
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
 
-// secureStack mirrors the facade's encrypted composition: the GCM tag
-// subsumes the checksum, frag sits above so fragments are sealed
+// secureStack is the encrypted composition with a keepalive: the GCM
+// tag subsumes the checksum, frag sits above so fragments are sealed
 // individually, and the window below so replays are re-sealed after a
 // rekey. limit caps the nonce counter (0 = default).
 func secureStack(key []byte, limit uint64) StackBuilder {
-	return func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		sec := layers.NewSecure(key, spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort)
-		sec.NonceLimit = limit
-		return []stack.Layer{
-			layers.NewFrag(),
-			sec,
-			layers.NewWindow(),
-			&layers.Heartbeat{Interval: 30 * time.Millisecond},
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
+	return BuildStack(StackOptions{
+		Secure:    &SecureConfig{Key: key, NonceLimit: limit},
+		Heartbeat: 30 * time.Millisecond,
+	})
 }
 
 // connSecureStats finds the secure layer in a connection's stack.

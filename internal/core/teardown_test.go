@@ -6,10 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"paccel/internal/bits"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/udp"
 	"paccel/internal/vclock"
 )
@@ -39,20 +36,7 @@ func TestWindowTimersStoppedOnClose(t *testing.T) {
 }
 
 func TestHeartbeatTimerStoppedOnClose(t *testing.T) {
-	build := func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		hb := layers.NewHeartbeat()
-		hb.Interval = time.Second
-		return []stack.Layer{
-			layers.NewChksum(),
-			layers.NewWindow(),
-			hb,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
+	build := BuildStack(StackOptions{Heartbeat: time.Second})
 	r := newRig(t, netsim.Config{}, func(cfgA, cfgB *Config) {
 		cfgA.Build = build
 		cfgB.Build = build

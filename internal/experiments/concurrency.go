@@ -12,11 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"paccel/internal/bits"
 	"paccel/internal/core"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
 
@@ -26,17 +23,7 @@ import (
 // makes it the right fixture for allocation and router-contention
 // benchmarks: every replayed datagram stays on the predicted path, and
 // no timer machinery allocates behind the measurement.
-func LeanStack(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var LeanStack = core.BuildStack(core.StackOptions{NoWindow: true})
 
 // tapTransport wraps a transport and keeps a copy of the last datagram
 // that reached the handler, so a harness can capture wire images for

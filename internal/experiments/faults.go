@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"time"
 
-	"paccel/internal/bits"
 	"paccel/internal/core"
 	"paccel/internal/faultinject"
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
 
@@ -32,21 +30,7 @@ var _ core.Transport = (*faultinject.Transport)(nil)
 // bounded (virtual or real) time, with NAKs so single gaps heal in one
 // round trip.
 func FaultStack(rto time.Duration) core.StackBuilder {
-	return func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		w := layers.NewWindow()
-		w.RetransTimeout = rto
-		w.Naks = true
-		return []stack.Layer{
-			layers.NewChksum(),
-			layers.NewFrag(),
-			w,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
+	return core.BuildStack(core.StackOptions{RetransTimeout: rto, Naks: true})
 }
 
 // FaultsPoint is one scenario's outcome, one JSON row of the BENCH_2

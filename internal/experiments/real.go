@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"paccel/internal/baseline"
-	"paccel/internal/bits"
 	"paccel/internal/core"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
 
@@ -160,16 +157,4 @@ func (p *BaselinePair) Close() {
 
 // DoubledWindowStack is the §5 layer-doubling configuration: the window
 // layer stacked twice.
-func DoubledWindowStack(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewChksum(),
-		layers.NewFrag(),
-		layers.NewWindow(),
-		layers.NewWindow(),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var DoubledWindowStack = core.BuildStack(core.StackOptions{DoubleWindow: true})

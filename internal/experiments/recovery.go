@@ -33,25 +33,19 @@ func RecoveryStack(rto time.Duration) core.StackBuilder {
 // recoveryStack is RecoveryStack with the given fragmentation threshold,
 // which is also the largest payload the engine packs into one frame.
 func recoveryStack(rto time.Duration, fragThreshold int) core.StackBuilder {
+	build := core.BuildStack(core.StackOptions{
+		FragThreshold: fragThreshold, RetransTimeout: rto, Naks: true,
+		Heartbeat: 100 * time.Millisecond, HeartbeatJitter: 25 * time.Millisecond,
+	})
 	return func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		w := layers.NewWindow()
-		w.RetransTimeout = rto
-		w.Naks = true
-		return []stack.Layer{
-			layers.NewChksum(),
-			&layers.Frag{Threshold: fragThreshold},
-			w,
-			&layers.Heartbeat{
-				Interval: 100 * time.Millisecond,
-				Jitter:   25 * time.Millisecond,
-				Seed:     int64(spec.LocalPort), // deterministic, distinct per side
-			},
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
+		ls, err := build(spec, order)
+		if err != nil {
+			return nil, err
+		}
+		// The heartbeat sits just above the identification; a seed makes
+		// its jitter deterministic and distinct per side.
+		ls[len(ls)-2].(*layers.Heartbeat).Seed = int64(spec.LocalPort)
+		return ls, nil
 	}
 }
 

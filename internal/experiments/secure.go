@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"paccel/internal/bits"
 	"paccel/internal/core"
-	"paccel/internal/layers"
-	"paccel/internal/stack"
 )
 
 // secureKey is the secure fixture's pre-shared master key.
@@ -15,14 +12,6 @@ var secureKey = []byte("paccel secure fixture key")
 // behind the measurement and the nonce prediction never sees a gap. The
 // root benchmarks BenchmarkSecureRoundTrip and BenchmarkSecureAllocs
 // stand on it.
-func SecureLeanStack(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	return []stack.Layer{
-		layers.NewFrag(),
-		layers.NewSecure(secureKey, spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort),
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
-}
+var SecureLeanStack = core.BuildStack(core.StackOptions{
+	NoWindow: true, Secure: &core.SecureConfig{Key: secureKey},
+})

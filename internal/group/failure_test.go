@@ -26,24 +26,16 @@ func TestFailureDetectionDrivesViewChange(t *testing.T) {
 	// wire the sequencer's silence reactions after the mesh is up.
 	var mu sync.Mutex
 	hbs := make(map[[2]string]*layers.Heartbeat)
+	heartbeatStack := core.BuildStack(core.StackOptions{Heartbeat: 5 * time.Millisecond})
 	build := func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		hb := layers.NewHeartbeat()
-		hb.Interval = 5 * time.Millisecond
-		hb.Misses = 3
+		ls, err := heartbeatStack(spec, order)
+		if err != nil {
+			return nil, err
+		}
 		mu.Lock()
-		hbs[[2]string{string(spec.LocalID), string(spec.RemoteID)}] = hb
+		hbs[[2]string{string(spec.LocalID), string(spec.RemoteID)}] = ls[len(ls)-2].(*layers.Heartbeat)
 		mu.Unlock()
-		return []stack.Layer{
-			layers.NewChksum(),
-			layers.NewFrag(),
-			layers.NewWindow(),
-			hb,
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
+		return ls, nil
 	}
 	m, err := NewMeshBuild(names, clk, netsim.Config{Latency: 30 * time.Microsecond}, Total, "a", build)
 	if err != nil {

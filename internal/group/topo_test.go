@@ -18,26 +18,18 @@ import (
 // real internet: window with retransmission and naks, heartbeats for
 // liveness, identification for routing and migration.
 func topoGroupStack(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-	w := layers.NewWindow()
-	w.RetransTimeout = 20 * time.Millisecond
-	w.Naks = true
-	return []stack.Layer{
-		layers.NewChksum(),
+	ls, err := core.BuildStack(core.StackOptions{
 		// The topology enforces a real MTU: frames, packed ones
 		// included, stay under it.
-		&layers.Frag{Threshold: 1200},
-		w,
-		&layers.Heartbeat{
-			Interval: 100 * time.Millisecond,
-			Jitter:   25 * time.Millisecond,
-			Seed:     int64(spec.LocalPort)<<8 | int64(spec.RemotePort),
-		},
-		&layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		},
-	}, nil
+		FragThreshold:  1200,
+		RetransTimeout: 20 * time.Millisecond, Naks: true,
+		Heartbeat: 100 * time.Millisecond, HeartbeatJitter: 25 * time.Millisecond,
+	})(spec, order)
+	if err != nil {
+		return nil, err
+	}
+	ls[len(ls)-2].(*layers.Heartbeat).Seed = int64(spec.LocalPort)<<8 | int64(spec.RemotePort)
+	return ls, nil
 }
 
 // deliveryLog records one member's sequenced application deliveries.

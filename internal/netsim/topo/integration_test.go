@@ -20,31 +20,27 @@ var (
 	_ core.BatchTransport = (*topo.Host)(nil)
 )
 
-func topoStack(rto time.Duration) core.StackBuilder {
+// topoStack is the recovery stack the topology tests run, plaintext or,
+// with secure set, encrypted.
+func topoStack(rto time.Duration, secure *core.SecureConfig) core.StackBuilder {
+	build := core.BuildStack(core.StackOptions{
+		// The topology enforces a real MTU; the default threshold
+		// (DefaultFragThreshold, 8000) assumes a fragmentation-friendly
+		// path and would hand the first hop frames — packed ones above
+		// all — it must refuse. Cap frames the way a path-MTU-aware
+		// deployment does.
+		FragThreshold:  1200,
+		RetransTimeout: rto, Naks: true,
+		Heartbeat: 100 * time.Millisecond, HeartbeatJitter: 25 * time.Millisecond,
+		Secure: secure,
+	})
 	return func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		w := layers.NewWindow()
-		w.RetransTimeout = rto
-		w.Naks = true
-		return []stack.Layer{
-			layers.NewChksum(),
-			// The topology enforces a real MTU; the default threshold
-			// (DefaultFragThreshold, 8000) assumes a fragmentation-
-			// friendly path and would hand the first hop frames — packed
-			// ones above all — it must refuse. Cap frames the way a
-			// path-MTU-aware deployment does.
-			&layers.Frag{Threshold: 1200},
-			w,
-			&layers.Heartbeat{
-				Interval: 100 * time.Millisecond,
-				Jitter:   25 * time.Millisecond,
-				Seed:     int64(spec.LocalPort),
-			},
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
+		ls, err := build(spec, order)
+		if err != nil {
+			return nil, err
+		}
+		ls[len(ls)-2].(*layers.Heartbeat).Seed = int64(spec.LocalPort)
+		return ls, nil
 	}
 }
 
@@ -74,7 +70,7 @@ func TestCoreOverTopoNATRebind(t *testing.T) {
 	const rto = 20 * time.Millisecond
 	mk := func(tr core.Transport) core.Config {
 		return core.Config{
-			Transport: tr, Clock: clk, Build: topoStack(rto),
+			Transport: tr, Clock: clk, Build: topoStack(rto, nil),
 			PeerTimeout: 500 * time.Millisecond,
 			Recovery: core.RecoveryConfig{
 				MaxAttempts: 60,

@@ -5,39 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"paccel/internal/bits"
 	"paccel/internal/core"
 	"paccel/internal/layers"
 	"paccel/internal/netsim/topo"
-	"paccel/internal/stack"
 	"paccel/internal/vclock"
 )
-
-// secureTopoStack is topoStack with AES-GCM in place of the checksum:
-// frag above secure (fragments sealed individually), window below
-// (replays re-sealed after a rekey).
-func secureTopoStack(key []byte, rto time.Duration) core.StackBuilder {
-	return func(spec core.PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		w := layers.NewWindow()
-		w.RetransTimeout = rto
-		w.Naks = true
-		return []stack.Layer{
-			&layers.Frag{Threshold: 1200}, // under the topology's MTU
-			layers.NewSecure(key, spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort),
-			w,
-			&layers.Heartbeat{
-				Interval: 100 * time.Millisecond,
-				Jitter:   25 * time.Millisecond,
-				Seed:     int64(spec.LocalPort),
-			},
-			&layers.Ident{
-				Local: spec.LocalID, Remote: spec.RemoteID,
-				LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-				Epoch: spec.Epoch, Order: order,
-			},
-		}, nil
-	}
-}
 
 func secureLayerStats(t *testing.T, c *core.Conn) layers.SecureStats {
 	t.Helper()
@@ -76,7 +48,7 @@ func TestSecureOverTopoNATRebind(t *testing.T) {
 	const rto = 20 * time.Millisecond
 	mk := func(tr core.Transport) core.Config {
 		return core.Config{
-			Transport: tr, Clock: clk, Build: secureTopoStack(key, rto),
+			Transport: tr, Clock: clk, Build: topoStack(rto, &core.SecureConfig{Key: key}),
 			PeerTimeout: 500 * time.Millisecond,
 			Recovery: core.RecoveryConfig{
 				MaxAttempts: 60,

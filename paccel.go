@@ -40,16 +40,12 @@
 package paccel
 
 import (
-	"time"
-
-	"paccel/internal/bits"
 	"paccel/internal/core"
 	"paccel/internal/faultinject"
 	"paccel/internal/group"
 	"paccel/internal/layers"
 	"paccel/internal/netsim"
 	"paccel/internal/rpc"
-	"paccel/internal/stack"
 	"paccel/internal/telemetry"
 	"paccel/internal/udp"
 	"paccel/internal/vclock"
@@ -407,52 +403,13 @@ func ServeTelemetry(addr string, rec *Telemetry) (*TelemetryServer, error) {
 	return telemetry.Serve(addr, rec)
 }
 
-// StackOptions parameterizes BuildStack, the configurable variant of
-// DefaultStack. The zero value reproduces the paper's four-layer stack.
-type StackOptions struct {
-	// WindowSize overrides the 16-entry window.
-	WindowSize int
-	// FragThreshold overrides the fragmentation payload limit. It also
-	// bounds packing: messages backlogged behind a closed window are
-	// packed into frames no larger than it, so a path MTU set here holds
-	// for packed frames too.
-	FragThreshold int
-	// AdaptiveRTO enables Jacobson/Karels retransmission-timeout
-	// estimation in the window layer.
-	AdaptiveRTO bool
-	// Heartbeat adds a keepalive layer with this interval.
-	Heartbeat time.Duration
-	// HeartbeatJitter spreads each beat by a uniform draw from
-	// [0, HeartbeatJitter), so fleets of connections primed together
-	// (a mass reconnect) desynchronize instead of beating in lockstep.
-	HeartbeatJitter time.Duration
-	// OnSilence receives peer-silence reports (requires Heartbeat).
-	OnSilence func(peer []byte, quiet time.Duration)
-	// Stamp adds the message-timestamp layer and reports one-way
-	// latency samples.
-	Stamp func(oneWay time.Duration)
-	// DoubleWindow stacks the window layer twice (the §5 experiment).
-	DoubleWindow bool
-	// Secure replaces the checksum layer with AES-GCM encryption — the
-	// GCM tag subsumes the checksum's integrity check. Both sides must
-	// use the same key; see UseSecure and DESIGN.md §17. Nil keeps the
-	// stack plaintext.
-	Secure *SecureConfig
-}
+// StackOptions parameterizes BuildStack; the zero value is DefaultStack.
+// See core.StackOptions for the fields.
+type StackOptions = core.StackOptions
 
-// SecureConfig configures the encrypted-channel layer (layers.Secure):
-// AES-GCM with traffic keys derived from a pre-shared master key bound
-// to the connection identification, a predicted counter nonce, the tag
-// as a message-specific field, and rekeying on session resumption.
-type SecureConfig struct {
-	// Key is the pre-shared master key. Required; any non-zero length
-	// (it is hashed into per-direction traffic keys, not used directly).
-	Key []byte
-	// NonceLimit caps the per-epoch nonce counter; reaching it fails
-	// the connection terminally with ErrNonceExhausted. 0 selects a
-	// safe default (2^62).
-	NonceLimit uint64
-}
+// SecureConfig configures the encrypted-channel layer that
+// StackOptions.Secure adds; see core.SecureConfig.
+type SecureConfig = core.SecureConfig
 
 // UseSecure is shorthand for enabling the secure channel with a
 // pre-shared key: BuildStack(paccel.StackOptions{Secure: paccel.UseSecure(key)}).
@@ -475,55 +432,6 @@ func ConnSecureStats(c *Conn) (SecureStats, bool) {
 }
 
 // BuildStack returns a StackBuilder assembling the paper's stack with the
-// given options.
-func BuildStack(opts StackOptions) StackBuilder {
-	return func(spec PeerSpec, order bits.ByteOrder) ([]stack.Layer, error) {
-		var ls []stack.Layer
-		if opts.Stamp != nil {
-			st := layers.NewStamp()
-			st.OnSample = opts.Stamp
-			ls = append(ls, st)
-		}
-		if opts.Secure == nil {
-			ls = append(ls, layers.NewChksum())
-		}
-		frag := layers.NewFrag()
-		if opts.FragThreshold > 0 {
-			frag.Threshold = opts.FragThreshold
-		}
-		ls = append(ls, frag)
-		if opts.Secure != nil {
-			// Above the window: Resume rekeys before the window replays
-			// its unacked frames, so replays re-seal under the new epoch.
-			sec := layers.NewSecure(opts.Secure.Key,
-				spec.LocalID, spec.RemoteID, spec.LocalPort, spec.RemotePort)
-			sec.NonceLimit = opts.Secure.NonceLimit
-			ls = append(ls, sec)
-		}
-		w := layers.NewWindow()
-		w.Size = opts.WindowSize
-		w.AdaptiveRTO = opts.AdaptiveRTO
-		ls = append(ls, w)
-		if opts.DoubleWindow {
-			w2 := layers.NewWindow()
-			w2.Size = opts.WindowSize
-			ls = append(ls, w2)
-		}
-		if opts.Heartbeat > 0 {
-			hb := layers.NewHeartbeat()
-			hb.Interval = opts.Heartbeat
-			hb.Jitter = opts.HeartbeatJitter
-			if opts.OnSilence != nil {
-				peer := append([]byte(nil), spec.RemoteID...)
-				hb.OnSilence = func(d time.Duration) { opts.OnSilence(peer, d) }
-			}
-			ls = append(ls, hb)
-		}
-		ls = append(ls, &layers.Ident{
-			Local: spec.LocalID, Remote: spec.RemoteID,
-			LocalPort: spec.LocalPort, RemotePort: spec.RemotePort,
-			Epoch: spec.Epoch, Order: order,
-		})
-		return ls, nil
-	}
-}
+// given options (core.BuildStack, the one assembler every stack comes
+// from).
+func BuildStack(opts StackOptions) StackBuilder { return core.BuildStack(opts) }
