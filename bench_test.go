@@ -421,10 +421,31 @@ func BenchmarkMultiClientServer(b *testing.B) {
 var rrCounter atomic.Int64
 
 // BenchmarkEndpointParallelRecv measures the sharded cookie router under
-// concurrent receives across 8 connections. Run with GOMAXPROCS ≥ 8 so
-// the receives actually overlap.
+// concurrent receives across 8 connections, each parallel worker
+// replaying a different connection's frame: enough connections that a
+// contended router is visibly slower on any multicore machine. Run with
+// GOMAXPROCS ≥ 8 so the receives actually overlap.
 func BenchmarkEndpointParallelRecv(b *testing.B) {
-	experiments.BenchParallelRecv(b, experiments.ParallelRecvConns)
+	const nConns = 8
+	h, err := experiments.NewRecvHarness(nConns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	// At least one worker per connection, even below nConns GOMAXPROCS —
+	// the contention being measured is across connections.
+	if p := runtime.GOMAXPROCS(0); p < nConns {
+		b.SetParallelism((nConns + p - 1) / p)
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)-1) % nConns
+		for pb.Next() {
+			h.Deliver(i)
+		}
+	})
 }
 
 // BenchmarkFastSendAllocs measures the accelerated send critical path

@@ -14,6 +14,7 @@ import (
 	"paccel/internal/bits"
 	"paccel/internal/filter"
 	"paccel/internal/header"
+	"paccel/internal/layers"
 	"paccel/internal/message"
 	"paccel/internal/stack"
 	"paccel/internal/telemetry"
@@ -219,12 +220,14 @@ type releaseItem struct {
 // It is installed into every pooled filter environment, backing the
 // Seal/Open filter ops; it re-seals each frame SendRaw retransmits, so
 // replays of frames sealed before a rekey go out under the current key;
-// and it can declare an unrecoverable error (nonce exhaustion) that
-// hard-fails the connection instead of riding the recovery engine.
+// it can declare an unrecoverable error (nonce exhaustion) that
+// hard-fails the connection instead of riding the recovery engine; and
+// its counters are the connection's SecureStats.
 type sealer interface {
 	filter.AEAD
 	Reseal(m *message.Msg) error
 	TerminalErr() error
+	Stats() layers.SecureStats
 }
 
 // newConn wires up a connection: builds the stack, initializes it against
@@ -383,9 +386,6 @@ func (c *Conn) RemoteAddr() string {
 // Schema exposes the compiled header schema (for reports).
 func (c *Conn) Schema() *header.Schema { return c.plan.schema }
 
-// Stack exposes the protocol stack (for tests and introspection).
-func (c *Conn) Stack() *stack.Stack { return c.st }
-
 // Stats returns a snapshot of the connection counters.
 func (c *Conn) Stats() ConnStats {
 	c.mu.Lock()
@@ -397,6 +397,16 @@ func (c *Conn) Stats() ConnStats {
 // may read layer statistics; mutating a live layer is not supported.
 func (c *Conn) Layers() []stack.Layer {
 	return c.st.Layers()
+}
+
+// SecureStats returns the encryption layer's counters, and whether the
+// connection's stack has one (StackOptions.Secure). Snapshot while the
+// connection is quiescent.
+func (c *Conn) SecureStats() (layers.SecureStats, bool) {
+	if c.seal == nil {
+		return layers.SecureStats{}, false
+	}
+	return c.seal.Stats(), true
 }
 
 // Modes returns the Table 3 operation modes of the two sides.

@@ -503,10 +503,6 @@ func (ep *Endpoint) Snapshot() EndpointStats {
 	return s
 }
 
-// Telemetry returns the endpoint's telemetry recorder (nil when
-// Config.Telemetry was not set).
-func (ep *Endpoint) Telemetry() *telemetry.Recorder { return ep.tel }
-
 // IdentSize returns the endpoint's connection identification size (the
 // paper's ~76 bytes).
 func (ep *Endpoint) IdentSize() int { return ep.identSize }

@@ -23,16 +23,14 @@ func secureStack(key []byte, limit uint64) StackBuilder {
 	})
 }
 
-// connSecureStats finds the secure layer in a connection's stack.
+// connSecureStats reads a connection's secure-layer counters.
 func connSecureStats(t *testing.T, c *Conn) layers.SecureStats {
 	t.Helper()
-	for _, l := range c.Layers() {
-		if s, ok := l.(*layers.Secure); ok {
-			return s.Stats()
-		}
+	s, ok := c.SecureStats()
+	if !ok {
+		t.Fatal("no secure layer in stack")
 	}
-	t.Fatal("no secure layer in stack")
-	return layers.SecureStats{}
+	return s
 }
 
 // TestSecurePingPong runs encrypted traffic both ways through the full

@@ -566,3 +566,15 @@ func TestGapCloseReleasesBufferedRun(t *testing.T) {
 		t.Fatalf("pending post queue = %d after the operation, want 0", got)
 	}
 }
+
+// TestConnStateString pins the name fmt prints for each state.
+func TestConnStateString(t *testing.T) {
+	for s, want := range map[ConnState]string{
+		StateActive: "active", StateFailed: "failed", StateClosed: "closed",
+		StateRecovering: "recovering", StateRecovering + 1: "?",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("ConnState(%d).String() = %q, want %q", s, got, want)
+		}
+	}
+}

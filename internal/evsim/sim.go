@@ -14,7 +14,6 @@ package evsim
 
 import (
 	"container/heap"
-	"fmt"
 	"time"
 )
 
@@ -24,9 +23,6 @@ type Sim struct {
 	pq  eventHeap
 	seq uint64
 }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.now }
 
 // At schedules f at virtual time t (not before now).
 func (s *Sim) At(t time.Duration, f func()) {
@@ -199,9 +195,4 @@ func (c *CPU) Backlog() time.Duration {
 		total += l.remaining
 	}
 	return total
-}
-
-// String describes the CPU state for debugging.
-func (c *CPU) String() string {
-	return fmt.Sprintf("cpu %s busyUntil=%v lazyItems=%d", c.Name, c.busyUntil, len(c.lazyQ))
 }

@@ -7,10 +7,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"testing"
 
 	"paccel/internal/core"
 	"paccel/internal/netsim"
@@ -29,17 +27,13 @@ var LeanStack = core.BuildStack(core.StackOptions{NoWindow: true})
 // that reached the handler, so a harness can capture wire images for
 // replay.
 type tapTransport struct {
-	inner core.Transport
-	mu    sync.Mutex
-	last  []byte
+	core.Transport
+	mu   sync.Mutex
+	last []byte
 }
 
-func (t *tapTransport) Send(dst string, datagram []byte) error { return t.inner.Send(dst, datagram) }
-func (t *tapTransport) LocalAddr() string                      { return t.inner.LocalAddr() }
-func (t *tapTransport) Close() error                           { return t.inner.Close() }
-
 func (t *tapTransport) SetHandler(h func(src string, datagram []byte)) {
-	t.inner.SetHandler(func(src string, datagram []byte) {
+	t.Transport.SetHandler(func(src string, datagram []byte) {
 		t.mu.Lock()
 		t.last = append(t.last[:0], datagram...)
 		t.mu.Unlock()
@@ -98,7 +92,7 @@ type RecvHarness struct {
 func NewRecvHarness(nConns int) (*RecvHarness, error) {
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	h := &RecvHarness{counts: make([]paddedCounter, nConns)}
-	tap := &tapTransport{inner: net.Endpoint("S")}
+	tap := &tapTransport{Transport: net.Endpoint("S")}
 	server, err := core.NewEndpoint(core.Config{
 		Transport: handlerGrabTap{tap, &h.grab},
 		Build:     LeanStack,
@@ -187,34 +181,4 @@ func (h *RecvHarness) Close() {
 	if h.Server != nil {
 		h.Server.Close()
 	}
-}
-
-// ParallelRecvConns is the connection count BenchmarkEndpointParallelRecv
-// uses: enough connections that a contended router is visibly slower on
-// any multicore machine.
-const ParallelRecvConns = 8
-
-// BenchParallelRecv hammers one endpoint with concurrent receives across
-// nConns connections, each parallel worker replaying a different
-// connection's frame. It is the body of BenchmarkEndpointParallelRecv.
-func BenchParallelRecv(b *testing.B, nConns int) {
-	h, err := NewRecvHarness(nConns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	// At least one worker per connection, even below nConns GOMAXPROCS —
-	// the contention being measured is across connections.
-	if p := runtime.GOMAXPROCS(0); p < nConns {
-		b.SetParallelism((nConns + p - 1) / p)
-	}
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := int(next.Add(1)-1) % nConns
-		for pb.Next() {
-			h.Deliver(i)
-		}
-	})
 }

@@ -48,7 +48,7 @@ type ShedHarness struct {
 func NewShedHarness(stormRate int) (*ShedHarness, error) {
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	sh := &ShedHarness{}
-	tap := &tapTransport{inner: net.Endpoint("S")}
+	tap := &tapTransport{Transport: net.Endpoint("S")}
 	server, err := core.NewEndpoint(core.Config{
 		Transport: handlerGrabTap{tap, &sh.h},
 		Build:     LeanStack,

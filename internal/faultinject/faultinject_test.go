@@ -2,10 +2,12 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"paccel/internal/telemetry"
 	"paccel/internal/vclock"
 )
 
@@ -15,15 +17,22 @@ var t0 = time.Date(1996, 8, 28, 0, 0, 0, 0, time.UTC)
 // injector's installed handler.
 type fakeTransport struct {
 	mu      sync.Mutex
+	addr    string // LocalAddr; "" reads as "fake"
+	failDst string // Send to this destination fails
 	dsts    []string
 	sent    [][]byte
 	handler func(src string, datagram []byte)
 	closed  bool
 }
 
+var errFakeSend = errors.New("fakeTransport: send refused")
+
 func (f *fakeTransport) Send(dst string, datagram []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if dst == f.failDst {
+		return errFakeSend
+	}
 	f.dsts = append(f.dsts, dst)
 	f.sent = append(f.sent, append([]byte(nil), datagram...))
 	return nil
@@ -35,7 +44,12 @@ func (f *fakeTransport) SetHandler(h func(src string, datagram []byte)) {
 	f.handler = h
 }
 
-func (f *fakeTransport) LocalAddr() string { return "fake" }
+func (f *fakeTransport) LocalAddr() string {
+	if f.addr == "" {
+		return "fake"
+	}
+	return f.addr
+}
 
 func (f *fakeTransport) Close() error {
 	f.mu.Lock()
@@ -317,8 +331,14 @@ func TestSwapInnerRedirectsBothDirections(t *testing.T) {
 	}
 	oldT.inject("B", []byte("up-old"))
 
-	newT := &fakeTransport{}
+	newT := &fakeTransport{addr: "moved"}
+	if got := ft.LocalAddr(); got != "fake" {
+		t.Fatalf("LocalAddr before swap = %q, want the old inner's", got)
+	}
 	ft.SwapInner(newT)
+	if got := ft.LocalAddr(); got != "moved" {
+		t.Fatalf("LocalAddr after swap = %q, want the new inner's", got)
+	}
 
 	// Sends leave through the new inner; the rule plan keeps counting
 	// across the swap (the Nth=2 drop eats "two").
@@ -342,5 +362,65 @@ func TestSwapInnerRedirectsBothDirections(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 2 || got[0] != "B:up-old" || got[1] != "B:up-new" {
 		t.Fatalf("handler saw %v", got)
+	}
+}
+
+// TestSetTelemetry checks that every fired fault appends one
+// injector-scoped EventFault naming its kind and direction, and that nil
+// uninstalls the recorder.
+func TestSetTelemetry(t *testing.T) {
+	inner := &fakeTransport{}
+	ft := New(inner, nil, 0,
+		Rule{Kind: Drop, Direction: Send, Nth: 1},
+		Rule{Kind: Duplicate, Direction: Recv, Nth: 1})
+	rec := telemetry.New(telemetry.Options{})
+	ft.SetTelemetry(rec)
+	ft.SetHandler(func(string, []byte) {})
+	if err := ft.Send("B", []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	inner.inject("B", []byte("twice"))
+	ft.SetTelemetry(nil)
+	ft.SetPartitioned("B", true)
+	if err := ft.Send("B", []byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	var causes []string
+	for _, e := range rec.Snapshot(false).Events {
+		if e.Kind != telemetry.EventFault || e.Conn != 0 {
+			t.Fatalf("event %+v, want an injector-scoped fault", e)
+		}
+		causes = append(causes, e.Cause)
+	}
+	want := []string{"faultinject: injected drop on send", "faultinject: injected duplicate on recv"}
+	if len(causes) != len(want) || causes[0] != want[0] || causes[1] != want[1] {
+		t.Fatalf("causes = %q, want %q", causes, want)
+	}
+}
+
+// TestSendBatchToPrefixContract checks the scattered-destination send: a
+// fault-consumed datagram counts as sent, a length mismatch sends
+// nothing, and an inner refusal reports the caller-space index it
+// happened at, with nothing after it attempted.
+func TestSendBatchToPrefixContract(t *testing.T) {
+	inner := &fakeTransport{failDst: "bad"}
+	ft := New(inner, nil, 0, Rule{Kind: Drop, Direction: Send, Peer: "C"})
+	if sent, err := ft.SendBatchTo([]string{"B"}, nil); sent != 0 || err == nil {
+		t.Fatalf("mismatched SendBatchTo = (%d, %v), want (0, error)", sent, err)
+	}
+	dsts := []string{"B", "C", "D", "bad", "B"}
+	ds := [][]byte{[]byte("0"), []byte("1"), []byte("2"), []byte("3"), []byte("4")}
+	sent, err := ft.SendBatchTo(dsts, ds)
+	if sent != 3 || !errors.Is(err, errFakeSend) {
+		t.Fatalf("SendBatchTo = (%d, %v), want (3, inner refusal)", sent, err)
+	}
+	if inner.sentCount() != 2 || string(inner.sentAt(0)) != "0" || string(inner.sentAt(1)) != "2" {
+		t.Fatalf("inner got %q, want [0 2]", inner.sent)
+	}
+	if st := ft.Stats(); st.Sent != 4 || st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want Sent=4 Dropped=1", st)
+	}
+	if sent, err := ft.SendBatchTo(dsts[:3], ds[:3]); sent != 3 || err != nil {
+		t.Fatalf("SendBatchTo = (%d, %v), want (3, nil)", sent, err)
 	}
 }

@@ -97,9 +97,6 @@ func NewBuilder() *Builder { return &Builder{} }
 // compiled thereby shares that program instead of building its own.
 func (p *Program) Verifier() *Builder { return &Builder{want: p} }
 
-// Err returns the first error recorded by an emit call.
-func (b *Builder) Err() error { return b.err }
-
 // Len returns the number of instructions emitted so far; layers use it to
 // remember instruction indices.
 func (b *Builder) Len() int {

@@ -167,20 +167,9 @@ func (g *Group) Join(peer string, conn Conn) {
 	conn.OnDeliver(func(p []byte) { g.onWire(peer, p) })
 }
 
-// Leave detaches peer (member churn). The connection itself is not
-// closed; its deliveries are simply no longer part of this group.
-func (g *Group) Leave(peer string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	i := sort.Search(len(g.members), func(i int) bool { return g.members[i].name >= peer })
-	if i < len(g.members) && g.members[i].name == peer {
-		g.members = append(g.members[:i], g.members[i+1:]...)
-	}
-}
-
 // UseFanout installs the whole-group batch sender (core.Fanout over this
 // member's connections). The caller keeps the sender's member set in
-// step with Join and Leave; a nil sender restores per-member sends.
+// step with Join; a nil sender restores per-member sends.
 func (g *Group) UseFanout(fs FanoutSender) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -298,9 +298,6 @@ func (s *Schema) noteLayer(layer string) {
 	s.layers = append(s.layers, layer)
 }
 
-// Mode returns how the schema has been compiled.
-func (s *Schema) Mode() Mode { return s.mode }
-
 // Size returns the compiled byte size of the class header (Compact mode).
 func (s *Schema) Size(class Class) int {
 	if s.mode != Compact {

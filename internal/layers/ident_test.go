@@ -8,6 +8,7 @@ import (
 	"paccel/internal/filter"
 	"paccel/internal/header"
 	"paccel/internal/stack"
+	"paccel/internal/telemetry"
 )
 
 func newIdent() *Ident {
@@ -173,6 +174,8 @@ func TestStampSendAndSample(t *testing.T) {
 	st := NewStamp()
 	var samples []time.Duration
 	st.OnSample = func(d time.Duration) { samples = append(samples, d) }
+	rec := telemetry.New(telemetry.Options{})
+	st.SetTelemetry(rec, 0, 5)
 	h := newHarness(t, st)
 
 	m, env := h.env([]byte("x"))
@@ -198,6 +201,11 @@ func TestStampSendAndSample(t *testing.T) {
 	mean, n := st.Mean()
 	if n != 1 || mean != 85*time.Microsecond {
 		t.Fatalf("mean = %v over %d", mean, n)
+	}
+	// The installed recorder gets the same sample in its one-way histogram.
+	oneWay := rec.Snapshot(false).Ops[telemetry.OpOneWay]
+	if oneWay.Count != 1 || oneWay.MeanNs != float64(85*time.Microsecond) {
+		t.Fatalf("one-way histogram = %+v, want one 85µs sample", oneWay)
 	}
 }
 

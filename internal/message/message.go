@@ -219,9 +219,3 @@ func (m *Msg) grow(n int) {
 	m.data += extra
 	m.end += extra
 }
-
-// String summarizes the message geometry for debugging.
-func (m *Msg) String() string {
-	return fmt.Sprintf("msg{hdr=%d payload=%d headroom=%d %v}",
-		m.data-m.start, m.PayloadLen(), m.start, m.Order)
-}

@@ -191,3 +191,27 @@ func TestTapUnknownEdge(t *testing.T) {
 		t.Fatal("tap on a nonexistent edge succeeded")
 	}
 }
+
+// TestAddrToIPv4Fallback pins how the capture renders addresses that are
+// not "ip:port" (a topology accepts any host name): a non-IP host hashes
+// to a stable 10.x.y.z, a non-numeric port to a stable ephemeral port,
+// and real IPs and ports pass through.
+func TestAddrToIPv4Fallback(t *testing.T) {
+	for _, tc := range []struct {
+		addr Addr
+		ip   [4]byte
+		port uint16
+	}{
+		{"10.0.0.2:80", [4]byte{10, 0, 0, 2}, 80},
+		{"10.0.0.2:http", [4]byte{10, 0, 0, 2}, 51365},
+		{"client:a", [4]byte{10, 146, 156, 30}, 59692},
+		{"client:b", [4]byte{10, 146, 156, 30}, 60901},
+		{"server:7", [4]byte{10, 172, 61, 210}, 7},
+		{"hostonly", [4]byte{10, 234, 138, 17}, 0},
+	} {
+		ip, port := addrToIPv4(tc.addr)
+		if ip != tc.ip || port != tc.port {
+			t.Errorf("addrToIPv4(%q) = %v:%d, want %v:%d", tc.addr, ip, port, tc.ip, tc.port)
+		}
+	}
+}

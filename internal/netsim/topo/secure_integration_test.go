@@ -13,13 +13,11 @@ import (
 
 func secureLayerStats(t *testing.T, c *core.Conn) layers.SecureStats {
 	t.Helper()
-	for _, l := range c.Layers() {
-		if s, ok := l.(*layers.Secure); ok {
-			return s.Stats()
-		}
+	s, ok := c.SecureStats()
+	if !ok {
+		t.Fatal("no secure layer in stack")
 	}
-	t.Fatal("no secure layer in stack")
-	return layers.SecureStats{}
+	return s
 }
 
 // TestSecureOverTopoNATRebind is the encrypted twin of

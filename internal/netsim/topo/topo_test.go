@@ -432,3 +432,73 @@ func TestHopBudgetDropsRoutingLoops(t *testing.T) {
 		t.Fatalf("looping packet not dropped by hop budget: %+v", st)
 	}
 }
+
+// heldClock is a clock whose timers fire only when the test calls them,
+// in whatever order it picks — the race a real clock's timer goroutines
+// can produce.
+type heldClock struct {
+	now  time.Time
+	held []func()
+}
+
+func (c *heldClock) Now() time.Time { return c.now }
+
+func (c *heldClock) AfterFunc(_ time.Duration, f func()) vclock.Timer {
+	c.held = append(c.held, f)
+	return heldTimer{}
+}
+
+type heldTimer struct{}
+
+func (heldTimer) Stop() bool            { return false }
+func (heldTimer) Reset(d time.Duration) {}
+
+// TestHostDeliversInArrivalOrder checks a host's delivery heap: frames
+// that reach it while its handler runs are delivered by arrival time,
+// then send order, whatever order their timers fired in. B is
+// multihomed, so frames reach it over two last links that do not
+// serialize each other. Four frames cross access links of 10 ms (via r1)
+// and 1, 5 and 5 ms (via r2) to B; their timers fire in the order slow,
+// fast, tie-2, tie-1 inside B's handler for an instant trigger frame.
+func TestHostDeliversInArrivalOrder(t *testing.T) {
+	clk := &heldClock{now: t0}
+	n := New(clk, Config{})
+	n.AddRouter("r1")
+	n.AddRouter("r2")
+	b := n.Host("10.0.0.1:1", "r1", LinkConfig{})
+	n.Link("10.0.0.1", "r2", LinkConfig{})
+	trig := n.Host("10.0.0.2:1", "r1", LinkConfig{})
+	sends := []struct {
+		payload, via string
+		latency      time.Duration
+	}{
+		{"slow", "r1", 10 * time.Millisecond},
+		{"fast", "r2", time.Millisecond},
+		{"tie-1", "r2", 5 * time.Millisecond},
+		{"tie-2", "r2", 5 * time.Millisecond},
+	}
+	for i, s := range sends {
+		h := n.Host(fmt.Sprintf("10.0.1.%d:1", i), s.via, LinkConfig{Latency: s.latency})
+		if err := h.Send(b.LocalAddr(), []byte(s.payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(clk.held) != len(sends) {
+		t.Fatalf("%d timers held, want %d", len(clk.held), len(sends))
+	}
+	var got []string
+	b.SetHandler(func(_ Addr, d []byte) {
+		got = append(got, string(d))
+		if string(d) == "trigger" {
+			for _, i := range []int{0, 1, 3, 2} {
+				clk.held[i]()
+			}
+		}
+	})
+	if err := trig.Send(b.LocalAddr(), []byte("trigger")); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[trigger fast tie-1 tie-2 slow]"; fmt.Sprint(got) != want {
+		t.Fatalf("delivery order %v, want %s", got, want)
+	}
+}

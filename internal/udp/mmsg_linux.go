@@ -55,7 +55,7 @@ type mmsghdr struct {
 // sendState is the pooled per-call scratch for one sendmmsg batch: the
 // header/iovec arrays, per-header segment counts and control buffers for
 // the GSO tier, the coalesce scratch (lazily allocated — transports
-// without the offload never pay for it), and the sockaddr. The write
+// without the offload never pay for it), and the sockaddrs. The write
 // step's parameters and results live here too, with writeStep bound once
 // per state: a fresh closure per rc.Write call would put an allocation
 // on the steady-state send path.
@@ -65,14 +65,11 @@ type sendState struct {
 	segs [mmsgBatch]int
 	oobs [mmsgBatch][gsoOOB]byte
 	buf  []byte
-	sa4  syscall.RawSockaddrInet4
-	sa6  syscall.RawSockaddrInet6
 
-	// Per-slot sockaddrs for the scattered-destination path
-	// (SendBatchTo): a fanout burst points every header at a different
-	// member, so each slot needs its own target (sa4/sa6 above serve
-	// the single-destination path, where one sockaddr is shared by the
-	// whole chunk).
+	// Per-slot sockaddrs: a scattered-destination burst (SendBatchTo)
+	// points every header at a different member, so each slot needs its
+	// own target; the single-destination path shares slot 0 across the
+	// whole chunk.
 	sa4s [mmsgBatch]syscall.RawSockaddrInet4
 	sa6s [mmsgBatch]syscall.RawSockaddrInet6
 
@@ -155,43 +152,10 @@ func (t *Transport) initOS() {
 	})
 }
 
-// sockaddr encodes ua into the state's raw sockaddr for this socket's
+// sockaddrAt encodes ua into slot i's raw sockaddr for this socket's
 // family. ok is false for shapes the raw path cannot encode (unknown
-// family, zoned IPv6, a v6 target on a v4 socket); the caller then uses
-// the portable loop, which lets the stdlib handle them.
-func (st *sendState) sockaddr(t *Transport, ua *net.UDPAddr) (name *byte, namelen uint32, ok bool) {
-	if ua.Zone != "" {
-		return nil, 0, false
-	}
-	ip4 := ua.IP.To4()
-	switch t.family {
-	case syscall.AF_INET:
-		if ip4 == nil {
-			return nil, 0, false
-		}
-		st.sa4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET}
-		p := (*[2]byte)(unsafe.Pointer(&st.sa4.Port))
-		p[0], p[1] = byte(ua.Port>>8), byte(ua.Port)
-		copy(st.sa4.Addr[:], ip4)
-		return (*byte)(unsafe.Pointer(&st.sa4)), syscall.SizeofSockaddrInet4, true
-	case syscall.AF_INET6:
-		ip16 := ua.IP.To16() // maps v4 targets to ::ffff:a.b.c.d
-		if ip16 == nil {
-			return nil, 0, false
-		}
-		st.sa6 = syscall.RawSockaddrInet6{Family: syscall.AF_INET6}
-		p := (*[2]byte)(unsafe.Pointer(&st.sa6.Port))
-		p[0], p[1] = byte(ua.Port>>8), byte(ua.Port)
-		copy(st.sa6.Addr[:], ip16)
-		return (*byte)(unsafe.Pointer(&st.sa6)), syscall.SizeofSockaddrInet6, true
-	}
-	return nil, 0, false
-}
-
-// sockaddrAt encodes ua into slot i's raw sockaddr, the per-header
-// variant of sockaddr for the scattered-destination path. ok is false
-// for shapes the raw path cannot encode; the caller then sends that
-// datagram through the portable loop.
+// family, zoned IPv6, a v6 target on a v4 socket); the caller then sends
+// through the portable loop, which lets the stdlib handle them.
 func (st *sendState) sockaddrAt(t *Transport, ua *net.UDPAddr, i int) (name *byte, namelen uint32, ok bool) {
 	if ua.Zone != "" {
 		return nil, 0, false
@@ -208,7 +172,7 @@ func (st *sendState) sockaddrAt(t *Transport, ua *net.UDPAddr, i int) (name *byt
 		copy(st.sa4s[i].Addr[:], ip4)
 		return (*byte)(unsafe.Pointer(&st.sa4s[i])), syscall.SizeofSockaddrInet4, true
 	case syscall.AF_INET6:
-		ip16 := ua.IP.To16()
+		ip16 := ua.IP.To16() // maps v4 targets to ::ffff:a.b.c.d
 		if ip16 == nil {
 			return nil, 0, false
 		}
@@ -302,12 +266,7 @@ func (t *Transport) sendBatchToWire(dsts []string, datagrams [][]byte) (int, err
 			// The datagram at index sent has an address shape only the
 			// stdlib can encode; send it alone, in order, and resume the
 			// vectorized path after it.
-			ua, err := t.resolve(dsts[sent])
-			if err != nil {
-				return sent, err
-			}
-			t.stats.txSyscalls.Add(1)
-			if _, err := t.conn.WriteToUDP(datagrams[sent], ua); err != nil {
+			if _, err := t.sendBatchToLoop(dsts[sent:sent+1], datagrams[sent:sent+1]); err != nil {
 				return sent, err
 			}
 			sent++
@@ -340,7 +299,7 @@ func (t *Transport) sendBatchWire(ua *net.UDPAddr, datagrams [][]byte) (int, err
 	st := sendPool.Get().(*sendState)
 	defer putSendState(st)
 	st.t = t
-	name, namelen, ok := st.sockaddr(t, ua)
+	name, namelen, ok := st.sockaddrAt(t, ua, 0)
 	if !ok {
 		return t.sendBatchLoop(ua, datagrams)
 	}

@@ -3,7 +3,8 @@ package udp
 // Portable tests for the offload tier's platform-independent pieces and
 // the receive-path satellite fixes: the zone-aware source-key cache, the
 // peer-cache cap, the GRO split helper's allocation budget, multi-peer
-// source stability through both receive loops, and the sharded listener.
+// source stability through both receive loops, and the sharded listener
+// (its scattered send, offload verdict, telemetry and receive counters).
 
 import (
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"paccel/internal/telemetry"
 )
 
 // collector gathers delivered datagrams, copying each (the handler
@@ -370,5 +373,119 @@ func TestShardedQueueCountClamp(t *testing.T) {
 	defer s.Close()
 	if s.NumQueues() != 1 {
 		t.Fatalf("NumQueues = %d, want 1 for n=0", s.NumQueues())
+	}
+}
+
+// TestShardedSendBatchTo checks the sharded listener's scattered send:
+// destinations hash to their queues and same-queue runs ride one batch
+// each, yet every receiver gets its datagrams in order from the shared
+// address, and the aggregate counters cover the whole burst.
+func TestShardedSendBatchTo(t *testing.T) {
+	s, err := ListenSharded("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var rx []*Transport
+	var got []*collector
+	for i := 0; i < 3; i++ {
+		tr, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		c := &collector{}
+		c.install(tr)
+		rx, got = append(rx, tr), append(got, c)
+	}
+	if sent, err := s.SendBatchTo([]string{rx[0].LocalAddr()}, nil); sent != 0 || err == nil {
+		t.Fatalf("mismatched SendBatchTo = (%d, %v), want (0, error)", sent, err)
+	}
+	const rounds = 10
+	var dsts []string
+	var ds [][]byte
+	for k := 0; k < rounds; k++ {
+		for i, tr := range rx {
+			dsts = append(dsts, tr.LocalAddr())
+			ds = append(ds, []byte(fmt.Sprintf("r%d-%d", i, k)))
+		}
+	}
+	sent, err := s.SendBatchTo(dsts, ds)
+	if err != nil || sent != len(ds) {
+		t.Fatalf("SendBatchTo = (%d, %v), want (%d, nil)", sent, err, len(ds))
+	}
+	for i, c := range got {
+		c.waitN(t, rounds)
+		c.mu.Lock()
+		for k, d := range c.data {
+			if want := fmt.Sprintf("r%d-%d", i, k); string(d) != want || c.srcs[k] != s.LocalAddr() {
+				t.Fatalf("receiver %d datagram %d = %q from %q, want %q from %q",
+					i, k, d, c.srcs[k], want, s.LocalAddr())
+			}
+		}
+		c.mu.Unlock()
+	}
+	if st := s.Stats(); st.BatchSends == 0 || st.BatchDatagrams != uint64(len(ds)) {
+		t.Fatalf("stats = %+v, want BatchDatagrams=%d over at least one batch", st, len(ds))
+	}
+}
+
+// TestShardedQueueFacts checks what the sharded listener reports about
+// itself: its offload verdict and coalescing match a plain socket's on
+// the same kernel, installing a recorder logs every queue's verdict, and
+// the receive counters summed across queues cover every datagram heard.
+func TestShardedQueueFacts(t *testing.T) {
+	s, err := ListenSharded("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	plain, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+
+	gso, gro := s.Offload()
+	if pg, pr := plain.Offload(); gso != pg || gro != pr {
+		t.Fatalf("sharded Offload = (%v, %v), plain socket (%v, %v)", gso, gro, pg, pr)
+	}
+	if s.Coalescible() != gso {
+		t.Fatalf("Coalescible = %v with gso %v", s.Coalescible(), gso)
+	}
+
+	rec := telemetry.New(telemetry.Options{})
+	s.SetTelemetry(rec)
+	ev := rec.Snapshot(false).Events
+	if len(ev) != s.NumQueues() {
+		t.Fatalf("%d events for %d queues", len(ev), s.NumQueues())
+	}
+	for _, e := range ev {
+		if e.Kind != telemetry.EventState || e.Cause != plain.offloadCause() {
+			t.Fatalf("event %+v, want state %q", e, plain.offloadCause())
+		}
+	}
+
+	var got collector
+	got.install(s)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := plain.Send(s.LocalAddr(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got.waitN(t, n)
+	batches, dgs := s.RecvBatchStats()
+	var sum uint64
+	for i := 0; i < s.NumQueues(); i++ {
+		_, d := s.QueueRecvStats(i)
+		sum += d
+	}
+	if dgs != n || sum != n || s.Stats().RecvDatagrams != n {
+		t.Fatalf("RecvBatchStats datagrams = %d, per-queue sum %d, Stats %d; want %d each",
+			dgs, sum, s.Stats().RecvDatagrams, n)
+	}
+	if vectorized() && batches == 0 {
+		t.Fatal("RecvBatchStats counted no recvmmsg batches")
 	}
 }

@@ -337,11 +337,6 @@ const (
 	GroupTotal = group.Total
 )
 
-// NewGroup creates one member's group view; Join peers' connections to it.
-func NewGroup(self string, order GroupOrder, sequencer string) *Group {
-	return group.New(self, order, sequencer)
-}
-
 // NewGroupMesh builds a full mesh of accelerated connections between the
 // named members over an in-memory network on the real clock.
 func NewGroupMesh(names []string, cfg SimConfig, order GroupOrder, sequencer string) (*GroupMesh, error) {
@@ -422,14 +417,7 @@ type SecureStats = layers.SecureStats
 // ConnSecureStats returns the secure layer's counters for a connection
 // built with StackOptions.Secure, and whether such a layer exists.
 // Snapshot while the connection is quiescent.
-func ConnSecureStats(c *Conn) (SecureStats, bool) {
-	for _, l := range c.Layers() {
-		if s, ok := l.(*layers.Secure); ok {
-			return s.Stats(), true
-		}
-	}
-	return SecureStats{}, false
-}
+func ConnSecureStats(c *Conn) (SecureStats, bool) { return c.SecureStats() }
 
 // BuildStack returns a StackBuilder assembling the paper's stack with the
 // given options (core.BuildStack, the one assembler every stack comes
