@@ -4,7 +4,6 @@
 package paccel_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,9 +12,7 @@ import (
 	"time"
 
 	"paccel/internal/core"
-	"paccel/internal/experiments"
 	"paccel/internal/group"
-	"paccel/internal/layers"
 	"paccel/internal/netsim"
 	"paccel/internal/rpc"
 	"paccel/internal/udp"
@@ -24,13 +21,9 @@ import (
 
 // pingPongBench runs closed-loop round trips, the Table 4 "#roundtrips/
 // sec" and "one-way latency" rows.
-func pingPongBench(b *testing.B, opt experiments.PairOptions, payload int) {
+func pingPongBench(b *testing.B, build core.StackBuilder, payload int) {
 	b.Helper()
-	p, err := experiments.NewPair(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, build, netsim.Config{})
 	p.B.OnDeliver(func(data []byte) {
 		if err := p.B.Send(data); err != nil {
 			b.Error(err)
@@ -56,7 +49,7 @@ func pingPongBench(b *testing.B, opt experiments.PairOptions, payload int) {
 // BenchmarkRoundTrip is Table 4 rows 1 and 3 on the Go implementation:
 // accelerated 8-byte round trips over the in-memory network.
 func BenchmarkRoundTrip(b *testing.B) {
-	pingPongBench(b, experiments.PairOptions{}, 8)
+	pingPongBench(b, nil, 8)
 }
 
 // BenchmarkRoundTripAllocs is the allocation gate on the stack the paper
@@ -68,11 +61,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 // re-arms. It fails on any allocation per round trip; the perf gate holds
 // every *Allocs name at its baseline besides.
 func BenchmarkRoundTripAllocs(b *testing.B) {
-	p, err := experiments.NewPair(experiments.PairOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, nil, netsim.Config{})
 	p.B.OnDeliver(func(data []byte) {
 		if err := p.B.Send(data); err != nil {
 			b.Error(err)
@@ -109,7 +98,7 @@ func BenchmarkRoundTripAllocs(b *testing.B) {
 // BenchmarkRoundTripDoubledWindow is the §5 layer-doubling experiment:
 // the window layer stacked twice.
 func BenchmarkRoundTripDoubledWindow(b *testing.B) {
-	pingPongBench(b, experiments.PairOptions{Build: experiments.DoubledWindowStack}, 8)
+	pingPongBench(b, doubledWindowStack, 8)
 }
 
 // BenchmarkSecureRoundTrip is the encrypted channel on the fast path:
@@ -117,18 +106,14 @@ func BenchmarkRoundTripDoubledWindow(b *testing.B) {
 // directions (DESIGN.md §17). Compare against BenchmarkRoundTrip for
 // the end-to-end cost of the crypto.
 func BenchmarkSecureRoundTrip(b *testing.B) {
-	pingPongBench(b, experiments.PairOptions{Build: experiments.SecureLeanStack}, 8)
+	pingPongBench(b, secureLeanStack, 8)
 }
 
 // BenchmarkSecureAllocs is the encrypted steady-state send: seal in the
 // send filter, flush, far-side authenticated open and delivery — the
 // perf gate holds this at 0 allocs/op.
 func BenchmarkSecureAllocs(b *testing.B) {
-	p, err := experiments.NewPair(experiments.PairOptions{Build: experiments.SecureLeanStack})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, secureLeanStack, netsim.Config{})
 	p.B.OnDeliver(func([]byte) {})
 	payload := make([]byte, 32)
 	b.ReportAllocs()
@@ -144,23 +129,19 @@ func BenchmarkSecureAllocs(b *testing.B) {
 // run traditionally (synchronous layered processing, per-layer padded
 // headers, identification on every message).
 func BenchmarkRoundTripBaseline(b *testing.B) {
-	p, err := experiments.NewBaselinePair(netsim.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	p.B.OnDeliver(func(data []byte) {
-		if err := p.B.Send(data); err != nil {
+	client, server := newBaselinePair(b)
+	server.OnDeliver(func(data []byte) {
+		if err := server.Send(data); err != nil {
 			b.Error(err)
 		}
 	})
 	done := make(chan struct{}, 1)
-	p.A.OnDeliver(func([]byte) { done <- struct{}{} })
+	client.OnDeliver(func([]byte) { done <- struct{}{} })
 	buf := make([]byte, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.A.Send(buf); err != nil {
+		if err := client.Send(buf); err != nil {
 			b.Fatal(err)
 		}
 		<-done
@@ -173,20 +154,11 @@ func BenchmarkRoundTripBaseline(b *testing.B) {
 // streamBench is Table 4 rows 2 and 4: one-way throughput.
 func streamBench(b *testing.B, payload int) {
 	b.Helper()
-	p, err := experiments.NewPair(experiments.PairOptions{
-		NetConfig: netsim.Config{MTU: 64 << 10},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, nil, netsim.Config{MTU: 64 << 10})
 	b.SetBytes(int64(payload))
 	b.ReportAllocs()
 	b.ResetTimer()
-	msgs, _, err := p.StreamOneWay(b.N, make([]byte, payload))
-	if err != nil {
-		b.Fatal(err)
-	}
+	msgs := p.streamOneWay(b, b.N, make([]byte, payload))
 	b.StopTimer()
 	b.ReportMetric(msgs, "msgs/s")
 }
@@ -200,11 +172,7 @@ func BenchmarkBandwidth1K(b *testing.B) { streamBench(b, 1024) }
 // BenchmarkSendOneWay measures a single accelerated Send (delivery
 // inline on the synchronous network), the finest-grained critical path.
 func BenchmarkSendOneWay(b *testing.B) {
-	p, err := experiments.NewPair(experiments.PairOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, nil, netsim.Config{})
 	p.B.OnDeliver(func([]byte) {})
 	buf := make([]byte, 8)
 	b.ReportAllocs()
@@ -312,7 +280,7 @@ func BenchmarkGroupFanoutAllocs(b *testing.B) {
 	sink := net.Endpoint("sink")
 	sink.SetHandler(func(string, []byte) {})
 	ep, err := core.NewEndpoint(core.Config{
-		Transport: net.Endpoint("fan"), Build: experiments.LeanStack,
+		Transport: net.Endpoint("fan"), Build: leanStack,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -355,15 +323,7 @@ func BenchmarkMultiClientServer(b *testing.B) {
 	net := netsim.New(vclock.Real{}, netsim.Config{})
 	server, err := core.NewEndpoint(core.Config{
 		Transport: net.Endpoint("server"),
-		Accept: func(remote layers.IdentInfo, netSrc string) (core.PeerSpec, bool) {
-			return core.PeerSpec{
-				Addr:      netSrc,
-				LocalID:   bytes.TrimRight(remote.Dst, "\x00"),
-				RemoteID:  bytes.TrimRight(remote.Src, "\x00"),
-				LocalPort: remote.DstPort, RemotePort: remote.SrcPort,
-				Epoch: remote.Epoch,
-			}, true
-		},
+		Accept:    acceptAll,
 		OnConn: func(c *core.Conn) {
 			c.OnDeliver(func(req []byte) {
 				if err := c.Send(req); err != nil {
@@ -427,11 +387,7 @@ var rrCounter atomic.Int64
 // GOMAXPROCS ≥ 8 so the receives actually overlap.
 func BenchmarkEndpointParallelRecv(b *testing.B) {
 	const nConns = 8
-	h, err := experiments.NewRecvHarness(nConns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
+	h := newRecvHarness(b, nConns)
 	// At least one worker per connection, even below nConns GOMAXPROCS —
 	// the contention being measured is across connections.
 	if p := runtime.GOMAXPROCS(0); p < nConns {
@@ -443,7 +399,7 @@ func BenchmarkEndpointParallelRecv(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(next.Add(1)-1) % nConns
 		for pb.Next() {
-			h.Deliver(i)
+			h.deliver(i)
 		}
 	})
 }
@@ -453,11 +409,7 @@ func BenchmarkEndpointParallelRecv(b *testing.B) {
 // side's delivery runs inside the same call, so 0 allocs/op means the
 // whole send+deliver chain is allocation-free.
 func BenchmarkFastSendAllocs(b *testing.B) {
-	p, err := experiments.NewPair(experiments.PairOptions{Build: experiments.LeanStack})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, leanStack, netsim.Config{})
 	p.B.OnDeliver(func([]byte) {})
 	payload := make([]byte, 32)
 	b.ReportAllocs()
@@ -474,26 +426,18 @@ func BenchmarkFastSendAllocs(b *testing.B) {
 // receive handler (router lookup, packet filter, fast-path delivery,
 // application callback).
 func BenchmarkFastDeliverAllocs(b *testing.B) {
-	h, err := experiments.NewRecvHarness(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
+	h := newRecvHarness(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Deliver(0)
+		h.deliver(0)
 	}
 }
 
 // BenchmarkRPC measures one correlated request/response call over an
 // accelerated connection (the §6 workload, via the rpc package).
 func BenchmarkRPC(b *testing.B) {
-	p, err := experiments.NewPair(experiments.PairOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	p := newPair(b, nil, netsim.Config{})
 	rpc.Serve(p.B, func(req []byte) []byte { return req })
 	client := rpc.NewClient(p.A)
 	defer client.Close()
@@ -599,18 +543,14 @@ func BenchmarkShardedRecvBurst(b *testing.B) {
 // within a few ns of the empty-table BenchmarkFastDeliverAllocs number.
 func BenchmarkRouterDeliverLoaded(b *testing.B) {
 	const entries = 100_000
-	h, err := experiments.NewRecvHarness(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	if n := h.Server.BindBenchCookies(h.Conns[0], 1<<20, entries, true); n != entries {
+	h := newRecvHarness(b, 1)
+	if n := h.server.BindBenchCookies(h.conns[0], 1<<20, entries, true); n != entries {
 		b.Fatalf("bound %d of %d synthetic routes", n, entries)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Deliver(0)
+		h.deliver(0)
 	}
 }
 
@@ -620,18 +560,14 @@ func BenchmarkRouterDeliverLoaded(b *testing.B) {
 // zero-tolerance rule — shedding must stay free while the endpoint is
 // drowning, or shedding itself becomes the overload.
 func BenchmarkAdmissionShedAllocs(b *testing.B) {
-	sh, err := experiments.NewShedHarness(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sh.Close()
+	sh := newShedHarness(b, 1<<20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Shed()
+		sh.shed()
 	}
 	b.StopTimer()
-	if got := sh.Server.Snapshot().ShedTotal; got < uint64(b.N) {
+	if got := sh.server.Snapshot().ShedTotal; got < uint64(b.N) {
 		b.Fatalf("only %d of %d replays were shed", got, b.N)
 	}
 }

@@ -22,7 +22,10 @@
 //     traditional convention.
 //
 // The contrast between this engine and package core is the paper's
-// headline experiment.
+// headline experiment. The package is also the accelerated engine's
+// differential reference: one StackOptions value, run on both engines
+// over the same seeded lossy network, must deliver the same byte
+// sequence exactly once and in order (TestDifferentialAgainstCore).
 package baseline
 
 import (

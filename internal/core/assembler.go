@@ -26,18 +26,17 @@ type StackOptions struct {
 	// estimation in the window layer.
 	AdaptiveRTO bool
 	// RetransTimeout overrides the window's base retransmission timeout
-	// (layers.DefaultRetransTimeout). The chaos and recovery stacks
-	// (experiments.FaultStack, RecoveryStack and the topology
-	// schedules) shorten it so lossy schedules converge in bounded time.
+	// (layers.DefaultRetransTimeout). The seeded fault, recovery and
+	// topology schedules shorten it so lossy schedules converge in
+	// bounded time.
 	RetransTimeout time.Duration
 	// Naks makes the window request a retransmission as soon as it sees
-	// a gap. The chaos and recovery stacks set it.
+	// a gap. The seeded schedules set it.
 	Naks bool
 	// NoWindow leaves the sliding window out, and with it every window
 	// setting above and DoubleWindow. The allocation and
-	// router-contention fixtures (experiments.LeanStack and
-	// SecureLeanStack) set it: without sequence numbers or ack timers
-	// every replayed datagram stays on the predicted path.
+	// router-contention benchmarks set it: without sequence numbers or
+	// ack timers every replayed datagram stays on the predicted path.
 	NoWindow bool
 	// Heartbeat adds a keepalive layer with this interval.
 	Heartbeat time.Duration

@@ -7,7 +7,6 @@ import (
 
 	"paccel/internal/bits"
 	"paccel/internal/core"
-	"paccel/internal/experiments"
 	"paccel/internal/layers"
 )
 
@@ -40,18 +39,20 @@ func TestBuildStackShapes(t *testing.T) {
 	}{
 		{"DefaultStack", core.DefaultStack,
 			"chksum frag window ident", layers.DefaultFragThreshold, window{}, heartbeat{}},
-		{"LeanStack", experiments.LeanStack,
+		{"LeanStack", core.BuildStack(core.StackOptions{NoWindow: true}),
 			"chksum frag ident", layers.DefaultFragThreshold, window{}, heartbeat{}},
-		{"SecureLeanStack", experiments.SecureLeanStack,
+		{"SecureLeanStack", core.BuildStack(core.StackOptions{NoWindow: true, Secure: key}),
 			"frag secure ident", layers.DefaultFragThreshold, window{}, heartbeat{}},
-		{"DoubledWindowStack", experiments.DoubledWindowStack,
+		{"DoubledWindowStack", core.BuildStack(core.StackOptions{DoubleWindow: true}),
 			"chksum frag window window ident", layers.DefaultFragThreshold, window{}, heartbeat{}},
 		{"DoubleWindow+AdaptiveRTO", core.BuildStack(core.StackOptions{
 			DoubleWindow: true, AdaptiveRTO: true, WindowSize: 4, RetransTimeout: rto, Naks: true}),
 			"chksum frag window window ident", layers.DefaultFragThreshold, window{4, rto, true, true}, heartbeat{}},
-		{"FaultStack", experiments.FaultStack(rto),
+		{"FaultStack", core.BuildStack(core.StackOptions{RetransTimeout: rto, Naks: true}),
 			"chksum frag window ident", layers.DefaultFragThreshold, window{rto: rto, naks: true}, heartbeat{}},
-		{"RecoveryStack", experiments.RecoveryStack(rto),
+		{"RecoveryStack", core.BuildStack(core.StackOptions{
+			RetransTimeout: rto, Naks: true,
+			Heartbeat: 100 * time.Millisecond, HeartbeatJitter: 25 * time.Millisecond}),
 			"chksum frag window heartbeat ident", layers.DefaultFragThreshold,
 			window{rto: rto, naks: true}, heartbeat{100 * time.Millisecond, 25 * time.Millisecond}},
 		{"topology", core.BuildStack(topology),

@@ -1,4 +1,4 @@
-package experiments
+package core_test
 
 import (
 	"testing"
